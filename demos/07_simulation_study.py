@@ -4,7 +4,7 @@ One StudySpec describes the scenario grid (sample size, hypothesis count,
 null fraction, correlation, signal strength), the methods to run, and the
 seed; run_study executes every (cell, replicate, method) combination and
 returns a tidy metric table.  Results are bit-reproducible for a given
-seed, regardless of thread count.
+seed.
 """
 
 from artifact import StudySpec, run_study
@@ -22,7 +22,7 @@ study = StudySpec(
     seed=20260819,
 )
 
-table = run_study(study, threads=4)
+table = run_study(study)
 
 print("cell  pi0  d    method  metric             value      se")
 for row in table.rows:

@@ -299,7 +299,7 @@ def _cmd_simulate(args) -> int:
     study = StudySpec.from_json(args.spec)
     if args.seed is not None:
         study = StudySpec.from_dict({**study.to_dict(), "seed": args.seed})
-    table = run_study(study, out_dir=args.out_dir, threads=args.threads)
+    table = run_study(study, out_dir=args.out_dir)
     if args.csv:
         print("cell_id,pi0,rho,d,method,metric,value,se")
         for r in table.rows:
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte Carlo study from a JSON spec")
     p.add_argument("--spec", required=True, help="study spec JSON file")
     p.add_argument("--out-dir", default=None, help="directory for metrics.csv and summary.json")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: cores)")
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored; cells run in order")
     p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of an aligned table")
     p.set_defaults(fn=_cmd_simulate)

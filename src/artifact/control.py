@@ -68,10 +68,8 @@ def control_mfdp(sv: StatisticVector, gamma: float) -> ControlResult:
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     profile = build_profile(sv)
-    grid = profile.thresholds
-    r = profile.r(grid)
-    r_minus = profile.r_minus(grid)
-    v = np.minimum(r, r_minus)
+    grid, r = profile.thresholds, profile.r_grid
+    v = np.minimum(r, profile.r_minus_grid)
     fdp = v / np.maximum(r, 1)
     exceeding = np.flatnonzero(fdp > gamma)
     if exceeding.size == 0:

@@ -10,15 +10,20 @@ one-sided (noninferiority) family the regions are ``T_j - delta_j > t`` and
 ``T_j - delta_j < -t``; for an equivalence family they are
 ``|T_j| < delta_j - t`` and ``|T_j| > delta_j + t``.
 
-Every hypothesis is canonicalized to scalar *cut points* computed once from
-its statistic/margin pair (e.g. ``delta_j - |T_j|`` for equivalence
-rejection), and all threshold comparisons are performed as ``cut > t`` in
-exact IEEE double arithmetic -- no epsilons anywhere.  The step functions are
-stored as sorted cut-point arrays, so a single evaluation is a binary search.
+Every hypothesis is reduced once to a single *signed cut* ``k_j`` (see
+``_signed_cuts``) such that ``R(t) = #{k > t}`` and ``R-(t) = #{-k > t}``:
+``T_j - delta_j`` for a directional family, and ``min(delta_j - |T_j|, c)``
+with ``c = min_j delta_j`` for an equivalence family, so that thresholds at
+or beyond the smallest margin reject nothing.  All threshold comparisons are
+performed as ``k > t`` or ``-k > t`` in exact IEEE double arithmetic -- no
+epsilons anywhere.
 
-For equivalence families the rejection count is forced to zero for
-``t >= c`` where ``c = min_j delta_j`` (thresholds at or beyond the smallest
-margin reject nothing); the cut points are clipped to ``c`` accordingly.
+``build_profile`` sorts the ``|k_j|`` once, labelled by the sign of ``k_j``;
+the distinct values form the scan grid and the cumulative label counts give
+R and R- on it.  Everything that counts rejections or mirrors -- the
+estimators, ``control_mfdp`` and the simulation -- works from these cuts.
+The closed-testing oracle (``ct_oracle``) re-derives its indicators from the
+defining inequalities on purpose, as an independent check.
 """
 
 from __future__ import annotations
@@ -37,6 +42,13 @@ __all__ = [
     "InfeasibleError",
     "build_profile",
 ]
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as an array that refuses writes."""
+    out = np.asarray(values)
+    out.flags.writeable = False
+    return out
 
 
 class InfeasibleError(Exception):
@@ -95,10 +107,8 @@ class StatisticVector:
             raise TypeError("shape must be a HypothesisShape")
         if self.shape is HypothesisShape.EQUIVALENCE and not np.all(margins > 0):
             raise ValueError("equivalence margins must all be strictly positive")
-        stats.flags.writeable = False
-        margins.flags.writeable = False
-        object.__setattr__(self, "statistics", stats)
-        object.__setattr__(self, "margins", margins)
+        object.__setattr__(self, "statistics", _read_only(stats))
+        object.__setattr__(self, "margins", _read_only(margins))
 
     @property
     def m(self) -> int:
@@ -106,88 +116,107 @@ class StatisticVector:
         return int(self.statistics.size)
 
 
-def _count_above(cuts: np.ndarray, t) -> np.ndarray | int:
-    """Count cut points strictly greater than t (t scalar or array)."""
-    n = cuts.size
-    out = n - np.searchsorted(cuts, t, side="right")
-    if np.ndim(t) == 0:
-        return int(out)
-    return out
+def _signed_cuts(sv: StatisticVector) -> np.ndarray:
+    """Signed cut ``k_j`` per hypothesis: ``R(t) = #{k > t}``, ``R-(t) = #{-k > t}``.
+
+    ``T_j - delta_j`` for a directional family.  For an equivalence family
+    ``min(delta_j - |T_j|, c)`` with ``c = min_j delta_j``: the clip makes
+    every ``t >= c`` reject nothing, and since ``c > 0`` it never reaches a
+    negative cut, so ``-k_j > t`` is the mirror region ``|T_j| - delta_j > t``.
+    """
+    if sv.shape is HypothesisShape.DIRECTIONAL:
+        return sv.statistics - sv.margins
+    return np.minimum(sv.margins - np.abs(sv.statistics), np.min(sv.margins))
 
 
 @dataclass(frozen=True, eq=False)
 class RejectionProfile:
     """Step-function view of the rejection and mirror counts for one family.
 
-    Construct with :func:`build_profile`.  ``r`` and ``r_minus`` evaluate the
-    counting functions at scalar or array thresholds in O(log m) per point;
-    ``thresholds`` is the finite grid {0} union {discontinuities of R or R-
-    in (0, inf)} that threshold-search procedures scan.
+    Construct with :func:`build_profile`.  ``thresholds`` is the scan grid
+    {0} + {|k_j|}, ascending and deduplicated: 0 and every point in
+    (0, inf) where R or R- jumps.  ``r_grid`` and ``r_minus_grid`` hold R and
+    R- at each grid point.  Both counts are constant from one grid point up
+    to the next, so ``r`` and ``r_minus`` evaluate scalar or array
+    thresholds with one binary search into the grid.  Every array is
+    read-only.
     """
 
     source: StatisticVector
-    # Sorted cut points (with multiplicity): R(t) = #{cuts_r > t}, and
-    # likewise for the mirror count.  Cuts <= 0 never affect t >= 0 and are
-    # dropped at construction.
-    _cuts_r: np.ndarray = field(repr=False)
-    _cuts_rminus: np.ndarray = field(repr=False)
-    # Per-hypothesis rejection cut points (unclipped only by sign), used to
-    # recover the identity of the rejected hypotheses at a threshold.
-    _reject_cut_by_hyp: np.ndarray = field(repr=False)
+    thresholds: np.ndarray
+    r_grid: np.ndarray
+    r_minus_grid: np.ndarray
+    # Per-hypothesis signed cuts, to recover who is rejected at a threshold.
+    _k: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for a in (self.thresholds, self.r_grid, self.r_minus_grid, self._k):
+            _read_only(a)
+
+    def _at(self, counts: np.ndarray, t):
+        # R and R- are defined for t >= 0; a negative t reads the value at 0.
+        i = np.maximum(np.searchsorted(self.thresholds, t, side="right") - 1, 0)
+        return int(counts[i]) if np.ndim(t) == 0 else counts[i]
 
     def r(self, t):
         """R(t): number of hypotheses rejected at threshold t (t >= 0)."""
-        return _count_above(self._cuts_r, t)
+        return self._at(self.r_grid, t)
 
     def r_minus(self, t):
         """R-(t): size of the mirrored count at threshold t (t >= 0)."""
-        return _count_above(self._cuts_rminus, t)
+        return self._at(self.r_minus_grid, t)
 
     def rejected_at(self, t: float) -> np.ndarray:
         """Indices (0-based) of the hypotheses rejected at threshold t."""
-        return np.flatnonzero(self._reject_cut_by_hyp > t)
+        return np.flatnonzero(self._k > t)
 
-    @property
-    def thresholds(self) -> np.ndarray:
-        """Sorted grid {0.0} + all jump points of R or R- in (0, inf)."""
-        jumps = np.unique(np.concatenate([self._cuts_r, self._cuts_rminus]))
-        return np.concatenate([[0.0], jumps])
+    def _drops(self, counts: np.ndarray) -> np.ndarray:
+        return _read_only(self.thresholds[1:][counts[1:] != counts[:-1]])
 
     @property
     def jump_points_r(self) -> np.ndarray:
         """Deduplicated jump points of R, ascending."""
-        return np.unique(self._cuts_r)
+        return self._drops(self.r_grid)
 
     @property
     def jump_points_r_minus(self) -> np.ndarray:
         """Deduplicated jump points of R-, ascending."""
-        return np.unique(self._cuts_rminus)
+        return self._drops(self.r_minus_grid)
 
 
 def build_profile(sv: StatisticVector) -> RejectionProfile:
     """Build the step-function profile (R, R-) for a statistic vector.
 
-    For a directional family the cut points are ``T_j - delta_j`` (rejection)
-    and ``delta_j - T_j`` (mirror); for an equivalence family they are
-    ``delta_j - |T_j|`` clipped to ``c = min_j delta_j`` (rejection) and
-    ``|T_j| - delta_j`` (mirror).  Only positive cut points are retained.
+    One sort of the ``|k_j|`` (see :func:`_signed_cuts`), each labelled by
+    whether ``k_j > 0``, gives the grid; the cumulative count of each label
+    up to a grid point gives R and R- there.  Zero cuts fall in the grid's
+    first point, 0, and so count towards neither R nor R-.
     """
-    if sv.shape is HypothesisShape.DIRECTIONAL:
-        diffs = sv.statistics - sv.margins
-        reject_cut = diffs
-        mirror_cut = -diffs
-    else:
-        gap = sv.margins - np.abs(sv.statistics)
-        c = float(np.min(sv.margins))
-        reject_cut = np.minimum(gap, c)
-        mirror_cut = -gap  # == |T_j| - delta_j up to IEEE sign exactness
-    cuts_r = np.sort(reject_cut[reject_cut > 0.0])
-    cuts_rm = np.sort(mirror_cut[mirror_cut > 0.0])
+    k = _signed_cuts(sv)
+    # Non-negative doubles order like their bit patterns, so |k| shifted up
+    # one bit, with the label in the freed low bit, sorts as one uint64 key.
+    # The extra leading zero key puts the grid's first point, 0, in front.
+    key = np.zeros(k.size + 1, dtype=np.uint64)
+    np.abs(k, out=key[1:].view(np.float64))
+    key <<= 1
+    key[1:] |= k > 0.0
+    key.sort()
+    positive = np.cumsum(key & 1, dtype=np.intp)  # positive cuts up to each position
+    key >>= 1
+    last = np.flatnonzero(np.append(key[1:] != key[:-1], True))  # end of each distinct |k|
+    # The arrays are updated in place, or rebound, to keep the peak memory
+    # of large families near that of the finished profile.
+    positive = positive[last]
+    n_pos = positive[-1]
+    thresholds = key[last].view(np.float64)
+    r_grid = n_pos - positive
+    last -= positive  # nonpositive cuts up to each grid point
     return RejectionProfile(
         source=sv,
-        _cuts_r=cuts_r,
-        _cuts_rminus=cuts_rm,
-        _reject_cut_by_hyp=reject_cut,
+        thresholds=thresholds,
+        r_grid=r_grid,
+        r_minus_grid=(k.size - n_pos) - last,
+        _k=k,
     )
 
 
@@ -233,6 +262,7 @@ class FdpEstimate:
     floored: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "rejected", _read_only(self.rejected))
         if self.r != len(self.rejected):
             raise ValueError("r must equal the number of rejected indices")
         if self.floored:
@@ -274,6 +304,7 @@ class ControlResult:
     fdp_hat: float
 
     def __post_init__(self):
+        object.__setattr__(self, "rejected", _read_only(self.rejected))
         if self.s is not None and not self.s < self.s_plus:
             raise ValueError("s must be strictly below s_plus")
         if self.fdp_hat > self.gamma:

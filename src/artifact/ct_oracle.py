@@ -111,13 +111,6 @@ def _indicator_bits(sv: StatisticVector, t: float, kind: str) -> tuple[np.ndarra
     raise ValueError(f"unknown count family {kind!r}")
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    mask = 0
-    for j in np.flatnonzero(bits):
-        mask |= 1 << int(j)
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class LocalTestFamily:
     """A family of subset-level tests phi_I, indexed by bitmask.
@@ -139,8 +132,8 @@ class LocalTestFamily:
     @classmethod
     def _from_counts(cls, kind: str, sv: StatisticVector, t: float, b: int | None = None) -> "LocalTestFamily":
         r_bits, m_bits = _indicator_bits(sv, t, kind)
-        r_int = _bits_to_int(r_bits)
-        m_int = _bits_to_int(m_bits)
+        r_int = indices_to_mask(np.flatnonzero(r_bits))
+        m_int = indices_to_mask(np.flatnonzero(m_bits))
         tie_credit = int(b) if b is not None else 0
 
         def phi(mask: int) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FdpEstimate, HypothesisShape, StatisticVector
+from .core import FdpEstimate, HypothesisShape, StatisticVector, _signed_cuts
 
 __all__ = [
     "CoinSource",
@@ -57,16 +57,23 @@ class CoinSource:
         return f"CoinSource(seed={self.seed!r})"
 
 
-def _check_threshold(t: float) -> float:
+def _cuts_at(sv: StatisticVector, t: float, shape: HypothesisShape, what: str):
+    """Checked threshold, rejected indices and mirror mask ``-k > t``."""
+    if sv.shape is not shape:
+        raise ValueError(f"{what} requires a {shape.value} statistic vector, got {sv.shape.value}")
     t = float(t)
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"threshold t must be finite and >= 0, got {t}")
-    return t
+    k = _signed_cuts(sv)
+    return t, np.flatnonzero(k > t), -k > t
 
 
-def _require_shape(sv: StatisticVector, shape: HypothesisShape, what: str) -> None:
-    if sv.shape is not shape:
-        raise ValueError(f"{what} requires a {shape.value} statistic vector, got {sv.shape.value}")
+def _estimate(estimator: str, t: float, rejected: np.ndarray, r_minus: int, **extra) -> FdpEstimate:
+    r = int(rejected.size)
+    v = min(r_minus, r)
+    return FdpEstimate(
+        estimator=estimator, t=t, rejected=rejected, r=r, v_tilde=v, fdp_hat=v / max(r, 1), **extra
+    )
 
 
 def estimate_directional(sv: StatisticVector, t: float) -> FdpEstimate:
@@ -86,21 +93,7 @@ def estimate_directional(sv: StatisticVector, t: float) -> FdpEstimate:
     -------
     FdpEstimate
     """
-    _require_shape(sv, HypothesisShape.DIRECTIONAL, "estimate_directional")
-    t = _check_threshold(t)
-    diffs = sv.statistics - sv.margins
-    rejected = np.flatnonzero(diffs > t)
-    r = int(rejected.size)
-    r_minus = int(np.count_nonzero(-diffs > t))
-    v = min(r_minus, r)
-    return FdpEstimate(
-        estimator="directional",
-        t=t,
-        rejected=rejected,
-        r=r,
-        v_tilde=v,
-        fdp_hat=v / max(r, 1),
-    )
+    return _directional(sv, t, None)
 
 
 def estimate_directional_randomized(sv: StatisticVector, t: float, coin: CoinSource) -> FdpEstimate:
@@ -112,48 +105,29 @@ def estimate_directional_randomized(sv: StatisticVector, t: float, coin: CoinSou
     call (its outcome only matters on ties) and recorded on the result:
     ``coin=True`` means the floor branch was selected.
     """
-    _require_shape(sv, HypothesisShape.DIRECTIONAL, "estimate_directional_randomized")
-    t = _check_threshold(t)
-    diffs = sv.statistics - sv.margins
-    rejected = np.flatnonzero(diffs > t)
-    r = int(rejected.size)
-    r_minus = int(np.count_nonzero(-diffs > t))
+    return _directional(sv, t, coin)
+
+
+def _directional(sv: StatisticVector, t: float, coin: CoinSource | None) -> FdpEstimate:
+    what = "estimate_directional" if coin is None else "estimate_directional_randomized"
+    t, rejected, mirror = _cuts_at(sv, t, HypothesisShape.DIRECTIONAL, what)
+    r_minus = int(np.count_nonzero(mirror))
+    if coin is None:
+        return _estimate("directional", t, rejected, r_minus)
     floor = bool(coin.flip())
-    if r == r_minus and floor:
+    if rejected.size == r_minus and floor:
         return FdpEstimate(
             estimator="directional-randomized",
             t=t,
             rejected=rejected,
-            r=r,
+            r=int(rejected.size),
             v_tilde=None,
             fdp_hat=0.0,
             randomized=True,
             coin=floor,
             floored=True,
         )
-    v = min(r_minus, r)
-    return FdpEstimate(
-        estimator="directional-randomized",
-        t=t,
-        rejected=rejected,
-        r=r,
-        v_tilde=v,
-        fdp_hat=v / max(r, 1),
-        randomized=True,
-        coin=floor,
-    )
-
-
-def _equivalence_counts(sv: StatisticVector, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection mask and mirror cut points for an equivalence family."""
-    abs_stats = np.abs(sv.statistics)
-    gap = sv.margins - abs_stats
-    c = float(np.min(sv.margins))
-    if t >= c:
-        reject_mask = np.zeros(sv.m, dtype=bool)
-    else:
-        reject_mask = gap > t
-    return reject_mask, -gap
+    return _estimate("directional-randomized", t, rejected, r_minus, randomized=True, coin=floor)
 
 
 def estimate_equivalence(sv: StatisticVector, t: float) -> FdpEstimate:
@@ -163,21 +137,8 @@ def estimate_equivalence(sv: StatisticVector, t: float) -> FdpEstimate:
     and bounds false rejections by ``R-(t) = #{j : |T_j| > delta_j + t}``,
     capped at R(t).
     """
-    _require_shape(sv, HypothesisShape.EQUIVALENCE, "estimate_equivalence")
-    t = _check_threshold(t)
-    reject_mask, mirror_cut = _equivalence_counts(sv, t)
-    rejected = np.flatnonzero(reject_mask)
-    r = int(rejected.size)
-    r_minus = int(np.count_nonzero(mirror_cut > t))
-    v = min(r_minus, r)
-    return FdpEstimate(
-        estimator="equivalence",
-        t=t,
-        rejected=rejected,
-        r=r,
-        v_tilde=v,
-        fdp_hat=v / max(r, 1),
-    )
+    t, rejected, mirror = _cuts_at(sv, t, HypothesisShape.EQUIVALENCE, "estimate_equivalence")
+    return _estimate("equivalence", t, rejected, int(np.count_nonzero(mirror)))
 
 
 def estimate_equivalence_windowed(sv: StatisticVector, t: float) -> FdpEstimate:
@@ -192,19 +153,9 @@ def estimate_equivalence_windowed(sv: StatisticVector, t: float) -> FdpEstimate:
     upper edge is evaluated as ``t <= 3*delta_j - |T_j|`` with the
     right-hand side computed once per hypothesis.
     """
-    _require_shape(sv, HypothesisShape.EQUIVALENCE, "estimate_equivalence_windowed")
-    t = _check_threshold(t)
-    reject_mask, mirror_cut = _equivalence_counts(sv, t)
-    rejected = np.flatnonzero(reject_mask)
-    r = int(rejected.size)
-    upper_slack = 3.0 * sv.margins - np.abs(sv.statistics)
-    r_minus = int(np.count_nonzero((mirror_cut > t) & (t <= upper_slack)))
-    v = min(r_minus, r)
-    return FdpEstimate(
-        estimator="equivalence-windowed",
-        t=t,
-        rejected=rejected,
-        r=r,
-        v_tilde=v,
-        fdp_hat=v / max(r, 1),
+    t, rejected, mirror = _cuts_at(
+        sv, t, HypothesisShape.EQUIVALENCE, "estimate_equivalence_windowed"
     )
+    upper_slack = 3.0 * sv.margins - np.abs(sv.statistics)
+    r_minus = int(np.count_nonzero(mirror & (t <= upper_slack)))
+    return _estimate("equivalence-windowed", t, rejected, r_minus)

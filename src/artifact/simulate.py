@@ -27,7 +27,7 @@ Replicate r of a scenario with seed s uses the generator seeded by
 ``SeedSequence([s, r])``; within a replicate the draw order is fixed (noise
 matrix first, then row effects, which are skipped entirely when rho = 0).
 Study cells derive their scenario seeds from ``SeedSequence([study_seed,
-cell_id])``, so a study is bit-reproducible regardless of thread count.
+cell_id])``, so a study is bit-reproducible.
 With normal noise and no data-demanding method in the study, statistics
 are drawn directly on the statistic scale (same law, fewer draws); any
 other configuration generates full data matrices.
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -60,7 +58,7 @@ from .control import (
     equivalence_pvalues,
     write_pvalues_csv,
 )
-from .core import HypothesisShape, InfeasibleError, StatisticVector
+from .core import HypothesisShape, InfeasibleError, StatisticVector, _signed_cuts
 from .ct_oracle import LocalTestFamily, indices_to_mask, run_closure
 from .estimators import (
     CoinSource,
@@ -637,8 +635,7 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                     t,
                 )
                 closure = run_closure(family)
-                rejected = sv.statistics - sv.margins
-                rejected = np.flatnonzero(rejected > t)
+                rejected = np.flatnonzero(_signed_cuts(sv) > t)
                 mask = indices_to_mask(rejected)
                 bound = closure.t_alpha(mask) if mask else 0
                 a.add_value("mean_ct_bound", bound)
@@ -681,29 +678,17 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
 
 
 def run_study(study: StudySpec, out_dir=None, threads: int | None = None) -> MetricTable:
-    """Run every cell of the study and aggregate the per-method metrics.
+    """Run every cell of the study, in cell order, and aggregate the
+    per-method metrics.
 
-    Cells run in a thread pool (``threads`` defaults to the CPU count,
-    capped by the number of cells); results are assembled in cell order, so
-    the output is identical for any thread count.  ``out_dir`` is only used
-    by the flexible-pvals-export method.
+    ``threads`` is accepted and ignored: the cells run one after another in
+    the calling thread, which is faster than a thread pool for this
+    GIL-bound work.  ``out_dir`` is only used by the flexible-pvals-export
+    method.
     """
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    cells = list(study.cells())
-    if threads is None:
-        threads = min(len(cells), os.cpu_count() or 1)
-    threads = max(1, int(threads))
-    if threads == 1 or len(cells) == 1:
-        per_cell = [_run_cell(study, cid, spec, out_dir) for cid, spec in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(
-                pool.map(lambda item: _run_cell(study, item[0], item[1], out_dir), cells)
-            )
-    rows: list[MetricRow] = []
-    for chunk in per_cell:
-        rows.extend(chunk)
+    rows = [row for cid, spec in study.cells() for row in _run_cell(study, cid, spec, out_dir)]
     return MetricTable(rows=tuple(rows), study=study.to_dict())
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import (
     HypothesisShape,
@@ -142,6 +144,119 @@ class TestControlInvariants:
             hi = control_mfdp(sv, float(g2))
             assert lo.s_plus >= hi.s_plus
             assert set(lo.rejected.tolist()) <= set(hi.rejected.tolist())
+
+
+def _literal_counts(stats, margins, shape, t, left=False):
+    """R and R- at t (or just below t) straight from the defining inequalities.
+
+    Returns the rejected indices and the mirror count.  ``left=True`` gives
+    the left limits R(t-) and R-(t-), where each strict ``> t`` becomes
+    ``>= t`` and the equivalence cap ``t < min delta`` becomes ``t <= min delta``.
+    """
+
+    def above(x):
+        return x >= t if left else x > t
+
+    pairs = list(zip(stats, margins))
+    if shape is DIR:
+        rejected = [j for j, (T, d) in enumerate(pairs) if above(T - d)]
+        r_minus = sum(1 for T, d in pairs if above(d - T))
+    else:
+        c = min(margins)
+        open_cap = t <= c if left else t < c
+        rejected = [j for j, (T, d) in enumerate(pairs) if open_cap and above(d - abs(T))]
+        r_minus = sum(1 for T, d in pairs if above(abs(T) - d))
+    return rejected, r_minus
+
+
+def _literal_scan(stats, margins, shape, gamma):
+    """O(m^2) threshold scan: grid, (R, R-) on it, and the control result."""
+    if shape is DIR:
+        candidates = [T - d for T, d in zip(stats, margins)] + [d - T for T, d in zip(stats, margins)]
+    else:
+        candidates = [d - abs(T) for T, d in zip(stats, margins)]
+        candidates += [abs(T) - d for T, d in zip(stats, margins)] + [min(margins)]
+    grid = [0.0]
+    for tau in sorted({x for x in candidates if x > 0.0}):
+        at = _literal_counts(stats, margins, shape, tau)
+        before = _literal_counts(stats, margins, shape, tau, left=True)
+        if (len(at[0]), at[1]) != (len(before[0]), before[1]):
+            grid.append(tau)
+    counts = [_literal_counts(stats, margins, shape, t) for t in grid]
+    fdp = [min(len(rej), rm) / max(len(rej), 1) for rej, rm in counts]
+    exceeding = [i for i, f in enumerate(fdp) if f > gamma]
+    s = grid[exceeding[-1]] if exceeding else None
+    idx = exceeding[-1] + 1 if exceeding else 0
+    rejected, r_minus = counts[idx]
+    return {
+        "grid": grid,
+        "r": [len(rej) for rej, _ in counts],
+        "r_minus": [rm for _, rm in counts],
+        "s": s,
+        "s_plus": grid[idx],
+        "rejected": rejected,
+        "v_tilde": min(len(rejected), r_minus),
+        "fdp_hat": fdp[idx],
+    }
+
+
+_half = st.integers(-8, 8).map(lambda i: i / 2)
+
+
+@st.composite
+def _families(draw):
+    shape = draw(st.sampled_from([DIR, EQU]))
+    mode = draw(st.sampled_from(["half-grid", "float", "all-zero", "mirror-pair"]))
+    m = draw(st.integers(2 if mode == "mirror-pair" else 1, 20))
+    if mode == "float":
+        lo = -1.0 if shape is DIR else 0.05
+        margin = st.floats(lo, 4.0, allow_nan=False, allow_infinity=False)
+    else:
+        margin = st.integers(-2, 2) if shape is DIR else st.integers(1, 6)
+        margin = margin.map(lambda i: i / 2)
+    if draw(st.booleans()):
+        margins = draw(st.lists(margin, min_size=m, max_size=m))
+    else:
+        margins = [draw(margin)] * m
+    if mode == "float":
+        stats = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=m, max_size=m))
+    else:
+        stats = draw(st.lists(_half, min_size=m, max_size=m))
+    sign = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    if mode == "all-zero":  # T == delta, or |T| == delta: every cut is zero
+        stats = list(margins) if shape is DIR else [s * d for s, d in zip(sign, margins)]
+    if mode == "mirror-pair":  # a rejection cut and a mirror cut of equal size a
+        i, j = draw(st.permutations(range(m)))[:2]
+        if shape is DIR:
+            a = draw(st.integers(1, 8)) / 2
+            stats[i], stats[j] = margins[i] + a, margins[j] - a
+        else:
+            a = draw(st.integers(1, int(2 * min(margins)))) / 2
+            stats[i] = sign[i] * (margins[i] - a)
+            stats[j] = sign[j] * (margins[j] + a)
+    gamma = draw(st.sampled_from([0.0, 0.1, 0.2, 0.25, 1 / 3, 0.5]) | st.floats(0.0, 0.99))
+    return stats, margins, shape, gamma
+
+
+@settings(max_examples=400, deadline=None)
+@given(family=_families())
+def test_control_and_profile_match_literal_scan(family):
+    stats, margins, shape, gamma = family
+    sv = _sv(stats, margins, shape=shape)
+    want = _literal_scan(sv.statistics.tolist(), sv.margins.tolist(), shape, gamma)
+    profile = build_profile(sv)
+    assert profile.thresholds.tolist() == want["grid"]
+    assert profile.r_grid.tolist() == want["r"]
+    assert profile.r_minus_grid.tolist() == want["r_minus"]
+    assert profile.r(profile.thresholds).tolist() == want["r"]
+    assert profile.r_minus(profile.thresholds).tolist() == want["r_minus"]
+    res = control_mfdp(sv, gamma)
+    assert res.s == want["s"]
+    assert res.s_plus == want["s_plus"]
+    assert res.rejected.tolist() == want["rejected"]
+    assert res.r == len(want["rejected"])
+    assert res.v_tilde == want["v_tilde"]
+    assert res.fdp_hat == want["fdp_hat"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import (
+    CoinSource,
     ControlResult,
     FdpEstimate,
     HypothesisShape,
     StatisticVector,
     build_profile,
+    control_mfdp,
+    estimate_directional,
+    estimate_directional_randomized,
+    estimate_equivalence,
+    estimate_equivalence_windowed,
 )
 
 DIR = HypothesisShape.DIRECTIONAL
@@ -329,3 +335,24 @@ class TestResultValidation:
                 v_tilde=1,
                 fdp_hat=1.0,
             )
+
+
+def test_result_arrays_are_read_only():
+    # the inputs are frozen, so the results built from them are too
+    sv = _sv([3.0, -2.5, 0.5, 4.0], 0.0)
+    sve = _sv([0.2, -0.3, 2.5, 1.0], 2.0, shape=EQU)
+    results = [
+        control_mfdp(sv, 0.1),
+        control_mfdp(sve, 0.1),
+        estimate_directional(sv, 1.0),
+        estimate_directional_randomized(sv, 1.0, CoinSource(0)),
+        estimate_equivalence(sve, 0.5),
+        estimate_equivalence_windowed(sve, 0.5),
+    ]
+    for res in results:
+        with pytest.raises(ValueError, match="read-only"):
+            res.rejected[0] = 7
+    profile = build_profile(sv)
+    for name in ("thresholds", "r_grid", "r_minus_grid", "jump_points_r", "jump_points_r_minus"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(profile, name)[0] = 7

@@ -10,7 +10,8 @@ Three families live here:
   at median level, making it directly comparable to the mirror-count
   estimators in :mod:`artifact.estimators`; the two-transformation special
   case (identity + global negation/swap) *equals* the directional mirror
-  estimator at margin zero.
+  estimator at margin zero.  The bound is computed from a (B, m) matrix of
+  statistics, one row per transformation with the identity in row 0.
 * P-value procedures: Benjamini-Hochberg step-up (mean FDP) and the
   Lehmann-Romano step-down (tail FDP) with critical values
   ``alpha * (floor(gamma*i) + 1) / (m + floor(gamma*i) + 1 - i)``.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator
 
 import numpy as np
@@ -220,8 +221,12 @@ def sam_bound(
     alpha : float
         One minus the quantile used for the bound, in (0, 1).
     """
+    return _sam_estimate(group.statistics(data, statistic_fn), group, t, alpha)
+
+
+def _sam_estimate(stats: np.ndarray, group: TransformationGroup, t: float, alpha: float) -> SamEstimate:
+    """The SAM bound from a (B, m) statistics matrix, identity in row 0."""
     t = float(t)
-    stats = group.statistics(data, statistic_fn)
     counts = (stats > t).sum(axis=1)
     k = _order_index(alpha, group.size)
     bound = int(np.partition(counts, k - 1)[k - 1])
@@ -332,6 +337,21 @@ class ExactTestResult:
     order_index: int
 
 
+def _exact_result(stats: np.ndarray, alpha: float) -> ExactTestResult:
+    """Compare the identity's statistic (entry 0) with the group order statistic."""
+    k = _order_index(alpha, stats.size)
+    critical = float(np.partition(stats, k - 1)[k - 1])
+    observed = float(stats[0])
+    return ExactTestResult(
+        reject=observed > critical,
+        t_observed=observed,
+        critical_value=critical,
+        alpha=float(alpha),
+        n_transforms=stats.size,
+        order_index=k,
+    )
+
+
 def sign_flip_test(x, alpha: float) -> ExactTestResult:
     """One-sample test of symmetry around 0 by full sign-flip enumeration.
 
@@ -354,18 +374,7 @@ def sign_flip_test(x, alpha: float) -> ExactTestResult:
     sums = np.zeros(1, dtype=np.float64)
     for xi in x:
         sums = np.concatenate([sums + xi, sums - xi])
-    stats = sums / math.sqrt(n)
-    k = _order_index(alpha, stats.size)
-    critical = float(np.partition(stats, k - 1)[k - 1])
-    observed = float(stats[0])
-    return ExactTestResult(
-        reject=observed > critical,
-        t_observed=observed,
-        critical_value=critical,
-        alpha=float(alpha),
-        n_transforms=stats.size,
-        order_index=k,
-    )
+    return _exact_result(sums / math.sqrt(n), alpha)
 
 
 def two_group_permutation_test(z, y, alpha: float) -> ExactTestResult:
@@ -390,18 +399,9 @@ def two_group_permutation_test(z, y, alpha: float) -> ExactTestResult:
         )
     pooled = np.concatenate([z, y])
     total = float(pooled.sum())
-    picks = np.asarray(list(combinations(range(2 * n), n)), dtype=np.intp)
+    picks = np.fromiter(
+        chain.from_iterable(combinations(range(2 * n), n)), dtype=np.intp, count=n_splits * n
+    ).reshape(n_splits, n)
     sums = pooled[picks].sum(axis=1)
-    stats = math.sqrt(n) * (2.0 * sums - total) / n
     # combinations() emits (0, ..., n-1) first: the identity split.
-    observed = float(stats[0])
-    k = _order_index(alpha, n_splits)
-    critical = float(np.partition(stats, k - 1)[k - 1])
-    return ExactTestResult(
-        reject=observed > critical,
-        t_observed=observed,
-        critical_value=critical,
-        alpha=float(alpha),
-        n_transforms=n_splits,
-        order_index=k,
-    )
+    return _exact_result(math.sqrt(n) * (2.0 * sums - total) / n, alpha)

@@ -50,14 +50,13 @@ from .estimators import (
 )
 from .simulate import StudySpec, run_study
 from .stats import (
+    _is_statistics_file,
     column_mean_statistics,
     read_data_csv,
     read_statistics_csv,
     two_group_statistics,
     welch_t_statistics,
 )
-
-_STATISTICS_HEADERS = ("index,statistic", "index,statistic,margin")
 
 
 def _config_hash(config: dict) -> str:
@@ -101,12 +100,6 @@ def _ensure_seed(args) -> int:
         args.seed = secrets.randbits(32)
         print(f"seed: {args.seed}")
     return args.seed
-
-
-def _is_statistics_file(path) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().lower()
-    return header in _STATISTICS_HEADERS
 
 
 def _load_statistics(args) -> tuple[StatisticVector, tuple[str, ...] | None]:

@@ -29,6 +29,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ControlResult, HypothesisShape, StatisticVector, build_profile
+from .stats import _header, _open_csv, _read_indexed_rows
 
 __all__ = [
     "control_mfdp",
@@ -220,19 +221,12 @@ def write_pvalues_csv(pv: PValueVector, path) -> None:
 
 
 def read_pvalues_csv(path) -> np.ndarray:
-    """Read a p-value CSV written by :func:`write_pvalues_csv`."""
-    with open(path, newline="") as fh:
+    """Read a p-value CSV written by :func:`write_pvalues_csv`.
+
+    The indices must be 0..m-1, each once, in any order.
+    """
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["index", "pvalue"]:
+        if _header(reader)[:2] != ["index", "pvalue"]:
             raise ValueError(f"{path}: expected header 'index,pvalue'")
-        pairs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                pairs.append((int(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from exc
-    pairs.sort()
-    return np.asarray([p for _, p in pairs], dtype=np.float64)
+        return _read_indexed_rows(path, reader, 1)[:, 0].copy()

@@ -22,7 +22,8 @@ Local test families
   the equivalence (or windowed) counts.
 * ``sam-subset``: reject H_I iff the observed subset rejection count
   strictly exceeds the ``ceil((1-alpha)*B)``-th smallest subset rejection
-  count over a transformation group.  No closed form; closure only.
+  count over a transformation group, read off a (B, m) statistics matrix
+  (identity in row 0).  No closed form; closure only.
 """
 
 from __future__ import annotations
@@ -181,11 +182,14 @@ class LocalTestFamily:
         ``ceil((1-alpha)*B)``-th smallest of ``{R_I(g(X), t)}`` over the
         group.  This is how a resampling bound plugs into closed testing.
         """
-        t = float(t)
-        stats = group.statistics(data, statistic_fn)
-        reject_bits = stats > t  # (B, m)
+        return cls._sam_from_statistics(group.statistics(data, statistic_fn), t, alpha)
+
+    @classmethod
+    def _sam_from_statistics(cls, stats: np.ndarray, t: float, alpha: float) -> "LocalTestFamily":
+        """The ``sam-subset`` family from a (B, m) statistics matrix, identity in row 0."""
+        reject_bits = stats > float(t)
         m = reject_bits.shape[1]
-        k = _order_index(alpha, group.size)
+        k = _order_index(alpha, reject_bits.shape[0])
 
         def phi(mask: int) -> bool:
             cols = mask_to_indices(mask)

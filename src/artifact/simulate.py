@@ -47,7 +47,7 @@ import numpy as np
 from .baselines import (
     TransformationGroup,
     _guarded_floor,
-    _order_index,
+    _sam_estimate,
     benjamini_hochberg,
     lehmann_romano_stepdown,
 )
@@ -534,6 +534,13 @@ class _CellAccumulator:
     def add_event(self, metric: str, happened: bool) -> None:
         self.events.setdefault(metric, []).append(bool(happened))
 
+    def add_control(self, truth: ScenarioTruth, rejected: np.ndarray, gamma: float) -> None:
+        """The gamma-level control metrics: p_control, mean_rejections, power."""
+        self.add_event("p_control", truth.fdp(rejected) <= gamma)
+        self.add_value("mean_rejections", len(rejected))
+        if truth.n_false:
+            self.add_value("power", truth.power_fraction(rejected))
+
 
 _METRIC_ORDER = (
     "mean_fdp_estimate",
@@ -562,11 +569,10 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     needs_data = bool({"SAM-full", "SAM+CT"} & set(methods)) or spec.noise != "normal"
     needs_pvalues = bool({"BH", "LR", "flexible-pvals-export"} & set(methods))
     null_spec = NullDensitySpec.standard_normal()
-    sqrt_n = math.sqrt(spec.n)
+    # Study statistics are sqrt(n) * column means: under a sign flip, (signs @ data) * scale.
+    scale = math.sqrt(spec.n) / spec.n
 
-    sam_signs = None
-    if "SAM-full" in methods:
-        sam_signs = TransformationGroup.sign_flip_full(spec.n).signs.astype(np.float64)
+    full_group = TransformationGroup.sign_flip_full(spec.n) if "SAM-full" in methods else None
     ct_group = _sam_ct_group(spec) if "SAM+CT" in methods else None
 
     acc: dict[str, _CellAccumulator] = {name: _CellAccumulator() for name in methods}
@@ -598,11 +604,7 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 a.add_value("mean_fdp_estimate", est.fdp_hat)
                 a.add_value("mean_fdp_at_t", v_true / max(est.r, 1))
                 a.add_event("p_fdp_le_estimate", v_true <= est.v_tilde)
-                ctl = control_mfdp(sv, gamma)
-                a.add_event("p_control", truth.fdp(ctl.rejected) <= gamma)
-                a.add_value("mean_rejections", len(ctl.rejected))
-                if truth.n_false:
-                    a.add_value("power", truth.power_fraction(ctl.rejected))
+                a.add_control(truth, control_mfdp(sv, gamma).rejected, gamma)
             elif name == "novel-randomized":
                 coin_seed = int(
                     np.random.SeedSequence([spec.seed, rep, 9001]).generate_state(1)[0]
@@ -613,27 +615,16 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 a.add_event("p_fdp_le_estimate", (not est.floored) and v_true <= est.v_tilde)
                 a.add_event("floor_rate", est.floored)
             elif name == "SAM-full":
-                stats_all = (sam_signs @ data) * (sqrt_n / spec.n)
-                counts = (stats_all > t).sum(axis=1)
-                k = _order_index(0.5, counts.size)
-                bound = int(np.partition(counts, k - 1)[k - 1])
-                observed = int(counts[0])
-                v_bar = min(bound, observed)
-                rejected = np.flatnonzero(stats_all[0] > t)
-                a.add_value("mean_fdp_estimate", v_bar / max(observed, 1))
-                a.add_event("p_fdp_le_estimate", truth.false_count(rejected) <= v_bar)
+                sam = _sam_estimate((full_group.signs @ data) * scale, full_group, t, 0.5)
+                a.add_value("mean_fdp_estimate", sam.fdp_bar)
+                a.add_event("p_fdp_le_estimate", truth.false_count(sam.rejected) <= sam.v_bar)
             elif name == "SAM-2":
                 est = estimate_directional(sv, t)
                 v_true = truth.false_count(est.rejected)
                 a.add_value("mean_fdp_estimate", est.fdp_hat)
                 a.add_event("p_fdp_le_estimate", v_true <= est.v_tilde)
             elif name == "SAM+CT":
-                family = LocalTestFamily.sam_subset(
-                    data,
-                    lambda x: sqrt_n * x.mean(axis=0),
-                    ct_group,
-                    t,
-                )
+                family = LocalTestFamily._sam_from_statistics((ct_group.signs @ data) * scale, t, 0.5)
                 closure = run_closure(family)
                 rejected = np.flatnonzero(_signed_cuts(sv) > t)
                 mask = indices_to_mask(rejected)
@@ -641,17 +632,9 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 a.add_value("mean_ct_bound", bound)
                 a.add_event("p_v_le_ct_bound", truth.false_count(rejected) <= bound)
             elif name == "BH":
-                rejected = benjamini_hochberg(pv.values, gamma)
-                a.add_event("p_control", truth.fdp(rejected) <= gamma)
-                a.add_value("mean_rejections", len(rejected))
-                if truth.n_false:
-                    a.add_value("power", truth.power_fraction(rejected))
+                a.add_control(truth, benjamini_hochberg(pv.values, gamma), gamma)
             elif name == "LR":
-                rejected = lehmann_romano_stepdown(pv.values, gamma)
-                a.add_event("p_control", truth.fdp(rejected) <= gamma)
-                a.add_value("mean_rejections", len(rejected))
-                if truth.n_false:
-                    a.add_value("power", truth.power_fraction(rejected))
+                a.add_control(truth, lehmann_romano_stepdown(pv.values, gamma), gamma)
             elif name == "flexible-pvals-export":
                 if rep == 0 and out_dir is not None:
                     path = Path(out_dir) / f"cell{cell_id:03d}_pvalues.csv"

@@ -7,9 +7,12 @@ CSV conventions
   feature.  Rows are observations.  Values parse as IEEE doubles; blank or
   non-numeric cells are rejected at ingestion with the offending row/column
   named.
-* Statistic files: header ``index,statistic[,margin]``, one row per
-  hypothesis, written at 17 significant digits so a written file re-reads to
-  bit-identical values.
+* Statistic files: header ``index,statistic[,margin]`` (any case; later
+  columns are ignored), one row per hypothesis, written at 17 significant
+  digits so a written file re-reads to bit-identical values.  The indices
+  must be 0..m-1, each once, in any order.
+
+Every reader drops a leading UTF-8 byte-order mark.
 
 Indices are 0-based everywhere.
 """
@@ -37,6 +40,60 @@ __all__ = [
 ]
 
 GROUP_COLUMN = "group"
+
+
+def _open_csv(path):
+    return open(path, newline="", encoding="utf-8-sig")
+
+
+def _header(reader) -> list[str]:
+    """The next row of a csv reader as a header: cells stripped and lowercased."""
+    return [h.strip().lower() for h in next(reader, [])]
+
+
+def _is_statistics_file(path) -> bool:
+    """Whether the header starts ``index,statistic``; the reader checks the rest."""
+    with _open_csv(path) as fh:
+        return _header(csv.reader(fh))[:2] == ["index", "statistic"]
+
+
+def _read_indexed_rows(path, reader, n_values: int) -> np.ndarray:
+    """The ``index,<n_values floats>`` rows left in ``reader``, ordered by index.
+
+    Blank lines are skipped.  The indices must be 0..m-1, each once: an
+    out-of-range or repeated index raises, naming the row.
+    """
+    lines: list[int] = []
+    indices: list[int] = []
+    values: list[float] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        try:
+            if len(row) <= n_values:
+                raise IndexError
+            indices.append(int(row[0]))
+            values.extend(map(float, row[1 : n_values + 1]))
+        except (ValueError, IndexError):
+            raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
+        lines.append(lineno)
+    if not lines:
+        raise ValueError(f"{path}: no data rows")
+    m = len(lines)
+    index = np.asarray(indices)
+    stray = np.flatnonzero((index < 0) | (index >= m))
+    if stray.size:
+        k = int(stray[0])
+        raise ValueError(
+            f"{path}: row {lines[k]}: index {indices[k]} is outside 0..{m - 1} "
+            f"(the {m} rows must carry the indices 0..{m - 1}, each once)"
+        )
+    order = np.argsort(index, kind="stable")
+    repeats = np.flatnonzero(np.diff(index[order]) == 0)
+    if repeats.size:
+        first, again = order[repeats[0]], order[repeats[0] + 1]
+        raise ValueError(f"{path}: row {lines[again]}: index {indices[again]} repeats row {lines[first]}")
+    return np.asarray(values, dtype=np.float64).reshape(m, n_values)[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +152,7 @@ class DataMatrix:
 
 def read_data_csv(path) -> DataMatrix:
     """Read a raw data CSV (header row, optional ``group`` column)."""
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
@@ -147,38 +204,16 @@ def read_statistics_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     Returns ``(statistics, margins)``, ordered by index; ``margins`` is
     None when the file has no margin column.
     """
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: empty file (a header row is required)")
-        header = [h.strip() for h in header]
-        if header[:2] != ["index", "statistic"] or (
-            len(header) > 2 and header[2] != "margin"
-        ):
+        header = _header(reader)
+        if header[:2] != ["index", "statistic"] or header[2:3] not in ([], ["margin"]):
             raise ValueError(
                 f"{path}: expected header 'index,statistic[,margin]', got {header!r}"
             )
         has_margin = len(header) > 2
-        triples = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                idx = int(row[0])
-                stat = float(row[1])
-                margin = float(row[2]) if has_margin else None
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
-            triples.append((idx, stat, margin))
-    if not triples:
-        raise ValueError(f"{path}: no data rows")
-    triples.sort(key=lambda tr: tr[0])
-    stats = np.asarray([tr[1] for tr in triples], dtype=np.float64)
-    margins = (
-        np.asarray([tr[2] for tr in triples], dtype=np.float64) if has_margin else None
-    )
-    return stats, margins
+        rows = _read_indexed_rows(path, reader, 2 if has_margin else 1)
+    return rows[:, 0].copy(), rows[:, 1].copy() if has_margin else None
 
 
 def write_statistics_csv(sv: StatisticVector, path) -> None:

@@ -230,6 +230,54 @@ class TestControl:
         assert code == 2 and "gamma" in err
 
 
+class TestStatisticsFileInput:
+    WORKED_EXAMPLE = "0,5.0\n1,4.0\n2,3.0\n3,-3.5\n"
+
+    @pytest.mark.parametrize(
+        "header",
+        ["\ufeffindex,statistic", "Index,Statistic", "\ufeffINDEX, Statistic "],
+        ids=["bom", "title-case", "bom-upper-padded"],
+    )
+    def test_header_is_read_with_or_without_bom_in_any_case(self, capsys, tmp_path, header):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{header}\n{self.WORKED_EXAMPLE}", encoding="utf-8")
+        code, out, err = run(capsys, "control", str(path), "--gamma", "0.4", "--delta", "0")
+        assert code == 0 and err == ""
+        assert "s_plus    3.5" in out
+        assert "rejected  0 1" in out
+
+    def test_extra_columns_after_margin_are_ignored(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "index,statistic,margin,note\n0,5.0,0,1\n1,4.0,0,2\n2,3.0,0,3\n3,-3.5,0,4\n"
+        )
+        code, out, err = run(capsys, "estimate", str(path), "--t", "1")
+        assert code == 0 and err == ""
+        assert "rejected   0 1 2" in out
+
+    def test_statistics_header_without_margin_third_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("index,statistic,note\n0,5.0,1\n1,4.0,2\n")
+        code, out, err = run(capsys, "estimate", str(path), "--delta", "0", "--t", "1")
+        assert code == 2 and out == ""
+        assert "expected header" in err
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("0,5.0\n0,4.0\n1,3.0\n", "row 3: index 0 repeats row 2"),
+            ("0,5.0\n1,4.0\n5,3.0\n", "row 4: index 5 is outside 0..2"),
+        ],
+        ids=["duplicate", "gap"],
+    )
+    def test_duplicate_or_gapped_indices_exit_2(self, capsys, tmp_path, rows, problem):
+        path = tmp_path / "s.csv"
+        path.write_text("index,statistic\n" + rows)
+        code, out, err = run(capsys, "control", str(path), "--gamma", "0.4", "--delta", "0")
+        assert code == 2 and out == ""
+        assert str(path) in err and problem in err
+
+
 # --- pvalues ----------------------------------------------------------------
 
 

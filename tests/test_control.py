@@ -403,3 +403,22 @@ class TestPvalueVectorAndCsv:
         path = tmp_path / "shuffled.csv"
         path.write_text("index,pvalue\n2,0.3\n0,0.1\n1,0.2\n")
         np.testing.assert_array_equal(read_pvalues_csv(path), [0.1, 0.2, 0.3])
+
+    def test_read_drops_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffindex,pvalue\n1,0.2\n0,0.1\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_pvalues_csv(path), [0.1, 0.2])
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("0,0.1\n0,0.2\n1,0.3\n", "row 3: index 0 repeats row 2"),
+            ("0,0.1\n1,0.2\n5,0.3\n", "row 4: index 5 is outside 0..2"),
+        ],
+        ids=["duplicate", "gap"],
+    )
+    def test_read_rejects_duplicate_or_gapped_indices(self, tmp_path, rows, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,pvalue\n" + rows)
+        with pytest.raises(ValueError, match=problem):
+            read_pvalues_csv(path)

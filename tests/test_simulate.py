@@ -10,6 +10,7 @@ import pytest
 from artifact import (
     HypothesisShape,
     InfeasibleError,
+    LocalTestFamily,
     MetricTable,
     ScenarioSpec,
     ScenarioTruth,
@@ -18,7 +19,9 @@ from artifact import (
     control_coverage,
     generate,
     generate_statistics,
+    indices_to_mask,
     read_pvalues_csv,
+    run_closure,
     run_study,
     sam_bound,
 )
@@ -343,6 +346,35 @@ class TestSamCtPath:
         prob, _ = table.get(0, "SAM+CT", "p_v_le_ct_bound")
         assert 0.0 <= bound <= 8.0
         assert 0.0 <= prob <= 1.0
+
+    @pytest.mark.parametrize("n", [6, 11])
+    def test_matches_generic_sam_subset(self, n):
+        # n <= 10 uses the full sign-flip group, larger n a 256-draw subsample.
+        study = StudySpec(
+            n=n, m=8, pi0=0.5, rho=0.2, d=1.0,
+            methods=("SAM+CT",), t=0.6, gamma=0.2, replicates=5, seed=11,
+        )
+        table = run_study(study)
+        (cell_id, spec), = study.cells()
+        if n <= 10:
+            group = TransformationGroup.sign_flip_full(n)
+        else:
+            group_seed = int(np.random.SeedSequence([spec.seed, 7301]).generate_state(1)[0])
+            group = TransformationGroup.sign_flip_subsample(n, 256, group_seed)
+        sqrt_n = np.sqrt(n)
+        bounds, covered = [], []
+        for rep in range(spec.replicates):
+            dm, truth = generate(spec, rep)
+            family = LocalTestFamily.sam_subset(
+                dm.values, lambda x: sqrt_n * x.mean(axis=0), group, study.t
+            )
+            closure = run_closure(family)
+            rejected = np.flatnonzero(study_statistics(dm.values, spec).statistics > study.t)
+            bound = closure.t_alpha(indices_to_mask(rejected))
+            bounds.append(bound)
+            covered.append(truth.false_count(rejected) <= bound)
+        assert table.get(cell_id, "SAM+CT", "mean_ct_bound")[0] == np.mean(bounds)
+        assert table.get(cell_id, "SAM+CT", "p_v_le_ct_bound")[0] == np.mean(covered)
 
 
 class TestPvalueExport:

@@ -97,6 +97,13 @@ class TestReadDataCsv:
         with pytest.raises(ValueError, match="row 2 has 3 cells"):
             read_data_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\ufeffgroup,g1\na,1.5\nb,-0.5\n", encoding="utf-8")
+        dm = read_data_csv(path)
+        assert dm.feature_names == ("g1",)
+        np.testing.assert_array_equal(dm.group, ["a", "b"])
+
     def test_empty_file_and_headerless_data(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("")
@@ -139,6 +146,28 @@ class TestStatisticsCsv:
         path = tmp_path / "stats.csv"
         path.write_text("statistic,index\n1,0\n")
         with pytest.raises(ValueError, match="expected header"):
+            read_statistics_csv(path)
+
+    def test_header_ignores_bom_and_case(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        path.write_text("\ufeffIndex,Statistic,MARGIN\n1,2.0,0.2\n0,1.0,0.1\n", encoding="utf-8")
+        stats, margins = read_statistics_csv(path)
+        np.testing.assert_array_equal(stats, [1.0, 2.0])
+        np.testing.assert_array_equal(margins, [0.1, 0.2])
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("2,1.0\n0,2.0\n2,3.0\n", "row 4: index 2 repeats row 2"),
+            ("2,1.0\n0,2.0\n3,3.0\n", "row 4: index 3 is outside 0..2"),
+            ("-1,1.0\n", "row 2: index -1 is outside 0..0"),
+        ],
+        ids=["duplicate", "gap", "negative"],
+    )
+    def test_indices_must_be_0_to_m_minus_1_once_each(self, tmp_path, rows, problem):
+        path = tmp_path / "stats.csv"
+        path.write_text("index,statistic\n" + rows)
+        with pytest.raises(ValueError, match=problem):
             read_statistics_csv(path)
 
     def test_malformed_row(self, tmp_path):

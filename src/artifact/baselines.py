@@ -168,7 +168,7 @@ class TransformationGroup:
                 f"data must be 2-d with {self.n_rows} rows for this group, got {data.shape}"
             )
         if self.signs is not None:
-            for row in self.signs:
+            for row in self.signs.astype(np.float64):
                 yield data * row[:, None]
         else:
             for perm in self.perms:
@@ -227,11 +227,14 @@ def sam_bound(
 def _sam_estimate(stats: np.ndarray, group: TransformationGroup, t: float, alpha: float) -> SamEstimate:
     """The SAM bound from a (B, m) statistics matrix, identity in row 0."""
     t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"threshold t must be finite, got {t}")
     counts = (stats > t).sum(axis=1)
     k = _order_index(alpha, group.size)
     bound = int(np.partition(counts, k - 1)[k - 1])
     observed = int(counts[0])  # identity is always row 0
     rejected = np.flatnonzero(stats[0] > t)
+    rejected.flags.writeable = False
     v_bar = min(bound, observed)
     return SamEstimate(
         t=t,

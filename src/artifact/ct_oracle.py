@@ -23,7 +23,9 @@ Local test families
 * ``sam-subset``: reject H_I iff the observed subset rejection count
   strictly exceeds the ``ceil((1-alpha)*B)``-th smallest subset rejection
   count over a transformation group, read off a (B, m) statistics matrix
-  (identity in row 0).  No closed form; closure only.
+  (identity in row 0).  The whole 2^m table is built at once from one
+  histogram of the rows' rejection patterns (m-bit codes): per mask, how
+  many rows reach each subset count.  No closed form; closure only.
 """
 
 from __future__ import annotations
@@ -186,18 +188,43 @@ class LocalTestFamily:
 
     @classmethod
     def _sam_from_statistics(cls, stats: np.ndarray, t: float, alpha: float) -> "LocalTestFamily":
-        """The ``sam-subset`` family from a (B, m) statistics matrix, identity in row 0."""
-        reject_bits = stats > float(t)
-        m = reject_bits.shape[1]
-        k = _order_index(alpha, reject_bits.shape[0])
+        """The ``sam-subset`` family from a (B, m) statistics matrix, identity in row 0.
 
-        def phi(mask: int) -> bool:
-            cols = mask_to_indices(mask)
-            counts = reject_bits[:, cols].sum(axis=1)
-            bound = int(np.partition(counts, k - 1)[k - 1])
-            return int(counts[0]) > bound
-
-        return cls(kind="sam-subset", m=m, _phi=phi)
+        Row b's rejection pattern ``stats[b] > t`` is read as an m-bit code,
+        so its count on subset I is ``popcount(code_b & I)``.  ``levels[l, I]``
+        counts the rows whose count on I is l, in (m + 1) * 2^m integers
+        whatever B is.  It starts as the histogram of the codes in level 0,
+        the column read as a code; pass j turns bit j of the column from a
+        code bit into a mask bit (a mask without j takes both codes of the
+        pair at their level, a mask with j takes the code that has j one
+        level up).  The ``ceil((1-alpha)*B)``-th smallest count on I is the
+        number of levels whose cumulative frequency is still below that
+        order index, and ``phi(I)`` compares row 0's count with it.
+        """
+        t = float(t)
+        if not np.isfinite(t):
+            raise ValueError(f"threshold t must be finite, got {t}")
+        reject_bits = stats > t
+        n_transforms, m = reject_bits.shape
+        if m > MAX_ORACLE_M:
+            raise InfeasibleError(
+                f"the sam-subset table has 2^m entries; m <= {MAX_ORACLE_M} required, got m={m}"
+            )
+        k = _order_index(alpha, n_transforms)
+        n_masks = 1 << m
+        codes = reject_bits @ (1 << np.arange(m, dtype=np.int64))
+        levels = np.zeros((m + 1, n_masks), dtype=np.int64)
+        levels[0] = np.bincount(codes, minlength=n_masks)
+        for j in range(m):
+            pairs = levels.reshape(m + 1, n_masks >> (j + 1), 2, 1 << j)
+            clear, set_ = pairs[:, :, 0], pairs[:, :, 1]
+            merged = clear + set_
+            set_[1:] = clear[1:] + set_[:-1]
+            set_[0] = clear[0]
+            clear[...] = merged
+        bounds = (np.cumsum(levels, axis=0) < k).sum(axis=0)
+        table = np.bitwise_count(codes[0] & np.arange(n_masks, dtype=np.int64)) > bounds
+        return cls(kind="sam-subset", m=m, _phi=lambda mask: bool(table[mask]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,6 +303,8 @@ def run_closure(family: LocalTestFamily, m: int | None = None) -> ClosureResult:
                         ok = False
                         break
             membership[mask] = ok
+    membership.flags.writeable = False
+    phi_values.flags.writeable = False
     return ClosureResult(m=m, membership=membership, phi_values=phi_values)
 
 

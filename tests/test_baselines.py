@@ -73,6 +73,13 @@ class TestTransformationGroup:
         assert stats.shape == (6, 5)
         np.testing.assert_array_equal(stats[0], data.sum(axis=0))
 
+    def test_sign_flip_copies_match_the_int8_product(self):
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(5, 7))
+        group = TransformationGroup.sign_flip_subsample(5, n_transforms=12, seed=2)
+        for row, copy in zip(group.signs, group.apply_to(data)):
+            assert copy.tobytes() == (data * row[:, None]).tobytes()
+
     def test_apply_to_validates_row_count(self):
         group = TransformationGroup.negation_pair(4)
         with pytest.raises(ValueError, match="rows"):
@@ -129,6 +136,21 @@ class TestSamBound:
         assert loose.order_index == 16
         assert tight.order_index == 31
         assert tight.v_bar >= loose.v_bar
+
+    def test_non_finite_threshold_raises(self):
+        data = np.array([[0.34, -0.34]] * 3)
+        group = TransformationGroup.sign_flip_full(3)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="threshold t"):
+                sam_bound(data, _column_sums, group, t)
+            with pytest.raises(ValueError, match="threshold t"):
+                sam_two_transform(data, _column_sums, t)
+
+    def test_rejected_is_read_only(self):
+        data = np.array([[0.34, -0.34]] * 3)
+        est = sam_bound(data, _column_sums, TransformationGroup.sign_flip_full(3), t=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            est.rejected[0] = 1
 
     def test_swap_kind_requires_even_rows(self):
         with pytest.raises(ValueError, match="even"):

@@ -25,6 +25,7 @@ from artifact import (
     verify_random_instances,
     verify_shortcut,
 )
+from artifact.baselines import _order_index
 
 DIR = HypothesisShape.DIRECTIONAL
 EQU = HypothesisShape.EQUIVALENCE
@@ -70,6 +71,17 @@ class TestRunClosure:
                 sup = (sup - 1) & free
             assert closure.contains(mask) == expected
         assert not closure.contains(0)
+
+    def test_result_arrays_are_read_only(self):
+        # t_alpha reads membership, so a write into it would change the bound
+        sv = _sv([3.0, -2.5, 0.5, 4.0], 0.0)
+        closure = run_closure(LocalTestFamily.directional_basic(sv, t=1.0))
+        full = (1 << 4) - 1
+        before = closure.t_alpha(full)
+        for name in ("membership", "phi_values"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(closure, name)[full] = True
+        assert closure.t_alpha(full) == before
 
     def test_phi_values_recorded(self):
         sv = _sv([3.0, -2.5], 0.0)
@@ -265,3 +277,65 @@ class TestSamSubsetFamily:
         assert closure.contains(0b00001) or closure.n_rejected == 0
         full = (1 << 5) - 1
         assert 0 <= closure.t_alpha(full) <= 5
+
+
+def _literal_sam_phi(stats, t, alphas):
+    """The sam-subset local test by its definition, one mask at a time.
+
+    For each mask: sum the rejection indicators over the subset's columns,
+    partition the B counts at the order index, and compare row 0 with it.
+    Returns one phi table per alpha (entry 0 unused).
+    """
+    reject_bits = stats > t
+    n_transforms, m = reject_bits.shape
+    orders = [_order_index(alpha, n_transforms) for alpha in alphas]
+    tables = [np.zeros(1 << m, dtype=bool) for _ in alphas]
+    for mask in range(1, 1 << m):
+        counts = reject_bits[:, mask_to_indices(mask)].sum(axis=1)
+        for table, k in zip(tables, orders):
+            bound = int(np.partition(counts, k - 1)[k - 1])
+            table[mask] = int(counts[0]) > bound
+    return tables
+
+
+class TestSamSubsetTable:
+    ALPHAS = (0.05, 0.1, 0.5, 0.9)
+
+    def _instances(self, rng):
+        """Half-integer data on full and subsampled groups, t an attained statistic."""
+        for m in range(1, 11):
+            for _ in range(4):
+                n = int(rng.integers(1, 8))
+                yield m, TransformationGroup.sign_flip_full(n)
+                # few rows, many draws: the subsample repeats patterns
+                yield m, TransformationGroup.sign_flip_subsample(
+                    n, int(rng.integers(2, 80)), int(rng.integers(1 << 31))
+                )
+
+    def test_matches_the_literal_per_mask_test(self):
+        rng = np.random.default_rng(20260418)
+        checked = 0
+        for m, group in self._instances(rng):
+            data = np.round(rng.normal(0.3, 1.0, (group.n_rows, m)) * 2.0) / 2.0
+            stats = group.statistics(data, lambda x: x.sum(axis=0))
+            t = float(stats[rng.integers(stats.shape[0]), rng.integers(m)])
+            literal = _literal_sam_phi(stats, t, self.ALPHAS)
+            for alpha, expected in zip(self.ALPHAS, literal):
+                family = LocalTestFamily.sam_subset(data, lambda x: x.sum(axis=0), group, t, alpha)
+                got = np.array([False] + [family.phi(mask) for mask in range(1, 1 << m)])
+                mismatches = np.flatnonzero(got != expected)
+                assert mismatches.size == 0, (m, group.kind, group.size, alpha, t, mismatches[:8])
+                checked += (1 << m) - 1
+        assert checked > 10_000
+
+    def test_non_finite_threshold_raises(self):
+        data = np.ones((3, 2))
+        group = TransformationGroup.sign_flip_full(3)
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="threshold t"):
+                LocalTestFamily.sam_subset(data, lambda x: x.sum(axis=0), group, t)
+
+    def test_m_above_the_oracle_cap_raises(self):
+        group = TransformationGroup.sign_flip_full(2)
+        with pytest.raises(InfeasibleError, match="m <= 12"):
+            LocalTestFamily.sam_subset(np.ones((2, 13)), lambda x: x.sum(axis=0), group, 0.5)

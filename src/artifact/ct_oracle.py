@@ -183,6 +183,9 @@ class LocalTestFamily:
         For subset I, reject H_I iff ``R_I(X, t)`` strictly exceeds the
         ``ceil((1-alpha)*B)``-th smallest of ``{R_I(g(X), t)}`` over the
         group.  This is how a resampling bound plugs into closed testing.
+        The whole 2^m table is built here, so m <= 12 (``MAX_ORACLE_M``)
+        is required even to read a single mask; larger m raises
+        :class:`InfeasibleError`.
         """
         return cls._sam_from_statistics(group.statistics(data, statistic_fn), t, alpha)
 
@@ -199,7 +202,8 @@ class LocalTestFamily:
         pair at their level, a mask with j takes the code that has j one
         level up).  The ``ceil((1-alpha)*B)``-th smallest count on I is the
         number of levels whose cumulative frequency is still below that
-        order index, and ``phi(I)`` compares row 0's count with it.
+        order index, and ``phi(I)`` compares row 0's count on I (its mask bits
+        summed over row 0's rejections) with it.
         """
         t = float(t)
         if not np.isfinite(t):
@@ -223,7 +227,8 @@ class LocalTestFamily:
             set_[0] = clear[0]
             clear[...] = merged
         bounds = (np.cumsum(levels, axis=0) < k).sum(axis=0)
-        table = np.bitwise_count(codes[0] & np.arange(n_masks, dtype=np.int64)) > bounds
+        mask_bits = (np.arange(n_masks, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+        table = mask_bits @ reject_bits[0] > bounds
         return cls(kind="sam-subset", m=m, _phi=lambda mask: bool(table[mask]))
 
 

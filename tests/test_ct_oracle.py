@@ -339,3 +339,13 @@ class TestSamSubsetTable:
         group = TransformationGroup.sign_flip_full(2)
         with pytest.raises(InfeasibleError, match="m <= 12"):
             LocalTestFamily.sam_subset(np.ones((2, 13)), lambda x: x.sum(axis=0), group, 0.5)
+
+    def test_builds_on_the_declared_numpy_floor(self, monkeypatch):
+        # pyproject.toml allows numpy 1.x, which has no np.bitwise_count
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        data = np.array([[1.0, -2.0, 3.0], [2.0, 1.0, -1.0], [0.5, 2.0, 1.0]])
+        group = TransformationGroup.sign_flip_full(3)
+        stats = group.statistics(data, lambda x: x.sum(axis=0))
+        family = LocalTestFamily.sam_subset(data, lambda x: x.sum(axis=0), group, 1.0, 0.5)
+        got = np.array([False] + [family.phi(mask) for mask in range(1, 8)])
+        assert np.array_equal(got, _literal_sam_phi(stats, 1.0, (0.5,))[0])

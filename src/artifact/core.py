@@ -170,19 +170,6 @@ class RejectionProfile:
         """Indices (0-based) of the hypotheses rejected at threshold t."""
         return np.flatnonzero(self._k > t)
 
-    def _drops(self, counts: np.ndarray) -> np.ndarray:
-        return _read_only(self.thresholds[1:][counts[1:] != counts[:-1]])
-
-    @property
-    def jump_points_r(self) -> np.ndarray:
-        """Deduplicated jump points of R, ascending."""
-        return self._drops(self.r_grid)
-
-    @property
-    def jump_points_r_minus(self) -> np.ndarray:
-        """Deduplicated jump points of R-, ascending."""
-        return self._drops(self.r_minus_grid)
-
 
 def build_profile(sv: StatisticVector) -> RejectionProfile:
     """Build the step-function profile (R, R-) for a statistic vector.

@@ -24,8 +24,11 @@ on the boundary and is in fact null.
 Reproducibility
 ---------------
 Replicate r of a scenario with seed s uses the generator seeded by
-``SeedSequence([s, r])``; within a replicate the draw order is fixed (noise
-matrix first, then row effects, which are skipped entirely when rho = 0).
+``SeedSequence([s, r])``; within a replicate the draw order is fixed: the
+noise first, then the row effects, which are skipped entirely when rho = 0.
+The data and the statistics routes draw the row effects through one
+helper: one effect per row (n rows of data, or the single row of
+statistics), the null block first under ``independent_blocks``.
 Study cells derive their scenario seeds from ``SeedSequence([study_seed,
 cell_id])``, so a study is bit-reproducible.
 With normal noise and no data-demanding method in the study, statistics
@@ -37,7 +40,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 from typing import Iterator
@@ -59,7 +63,7 @@ from .control import (
     write_pvalues_csv,
 )
 from .core import HypothesisShape, InfeasibleError, StatisticVector, _signed_cuts
-from .ct_oracle import LocalTestFamily, indices_to_mask, run_closure
+from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
 from .estimators import (
     CoinSource,
     estimate_directional,
@@ -97,7 +101,6 @@ STUDY_METHODS = (
 # Full sign-flip groups grow as 2^n; above this the per-replicate cost makes
 # studies impractical and the subsampled group is the intended tool.
 _SAM_FULL_MAX_N = 12
-_SAM_CT_MAX_M = 12
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,14 @@ class ScenarioSpec:
     independent_blocks: bool = False
 
     def __post_init__(self):
+        for name in ("n", "m", "replicates", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.independent_blocks, bool):
+            raise ValueError(
+                f"independent_blocks must be true or false, got {self.independent_blocks!r}"
+            )
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be >= 1")
         if not 0.0 <= self.pi0 <= 1.0:
@@ -211,25 +222,28 @@ def _scenario_means(spec: ScenarioSpec) -> ScenarioTruth:
     return ScenarioTruth(mu=mu, null_mask=null_mask)
 
 
-def _row_effects(spec: ScenarioSpec, truth: ScenarioTruth, rng: np.random.Generator) -> np.ndarray:
-    """(n, m) additive row-effect component, already scaled by sqrt(rho).
+def _replicate(spec: ScenarioSpec, replicate_index: int):
+    """The truth and the ``SeedSequence([seed, r])`` generator of one replicate."""
+    if replicate_index < 0:
+        raise ValueError("replicate_index must be >= 0")
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, int(replicate_index)]))
+    return _scenario_means(spec), rng
 
-    Under ``independent_blocks`` the true and false columns get their own
+
+def _row_effects(spec: ScenarioSpec, truth: ScenarioTruth, draw) -> np.ndarray:
+    """The row effects, already scaled by sqrt(rho), to add to the noise.
+
+    ``draw()`` returns one unit-variance effect per row, as a column (or as
+    shape ``(1,)`` for the single row of statistics).  Under
+    ``independent_blocks`` the true and false columns get their own
     independent row effects (drawn null block first), which makes the two
     blocks of statistics independent of each other.
     """
-    n, m = spec.n, spec.m
     scale = math.sqrt(spec.rho)
-    effects = np.zeros((n, m))
-    if spec.independent_blocks and 0 < truth.n_false < m:
-        eta_null = _unit_noise(rng, n, spec.noise, spec.noise_df)
-        eta_false = _unit_noise(rng, n, spec.noise, spec.noise_df)
-        effects[:, truth.null_mask] = scale * eta_null[:, None]
-        effects[:, ~truth.null_mask] = scale * eta_false[:, None]
-    else:
-        eta = _unit_noise(rng, n, spec.noise, spec.noise_df)
-        effects[:] = scale * eta[:, None]
-    return effects
+    if spec.independent_blocks and 0 < truth.n_false < spec.m:
+        eta_null, eta_false = draw(), draw()
+        return scale * np.where(truth.null_mask, eta_null, eta_false)
+    return scale * draw()
 
 
 def generate(spec: ScenarioSpec, replicate_index: int):
@@ -240,14 +254,13 @@ def generate(spec: ScenarioSpec, replicate_index: int):
     """
     from .stats import DataMatrix  # local import: stats also imports core
 
-    if replicate_index < 0:
-        raise ValueError("replicate_index must be >= 0")
-    truth = _scenario_means(spec)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, int(replicate_index)]))
+    truth, rng = _replicate(spec, replicate_index)
     eps = _unit_noise(rng, (spec.n, spec.m), spec.noise, spec.noise_df)
     values = truth.mu / math.sqrt(spec.n) + math.sqrt(1.0 - spec.rho) * eps
     if spec.rho > 0.0:
-        values = values + _row_effects(spec, truth, rng)
+        values = values + _row_effects(
+            spec, truth, lambda: _unit_noise(rng, spec.n, spec.noise, spec.noise_df)[:, None]
+        )
     names = tuple(f"h{j + 1:04d}" for j in range(spec.m))
     return DataMatrix(values=values, feature_names=names), truth
 
@@ -271,19 +284,11 @@ def generate_statistics(spec: ScenarioSpec, replicate_index: int):
     if spec.noise != "normal":
         dm, truth = generate(spec, replicate_index)
         return study_statistics(dm.values, spec), truth
-    if replicate_index < 0:
-        raise ValueError("replicate_index must be >= 0")
-    truth = _scenario_means(spec)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, int(replicate_index)]))
+    truth, rng = _replicate(spec, replicate_index)
     z = rng.standard_normal(spec.m)
     t = truth.mu + math.sqrt(1.0 - spec.rho) * z
     if spec.rho > 0.0:
-        scale = math.sqrt(spec.rho)
-        if spec.independent_blocks and 0 < truth.n_false < spec.m:
-            w_null, w_false = rng.standard_normal(2)
-            t = t + scale * np.where(truth.null_mask, w_null, w_false)
-        else:
-            t = t + scale * rng.standard_normal()
+        t = t + _row_effects(spec, truth, lambda: rng.standard_normal(1))
     return StatisticVector(t, spec.delta, spec.shape), truth
 
 
@@ -343,8 +348,9 @@ class StudySpec:
             raise ValueError(f"gamma must be in [0, 1), got {gamma}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gamma", gamma)
-        # Validate the scenario parameters once via a representative cell.
-        base = self._cell_spec(self.pi0[0], self.rho[0], self.d[0], seed=0)
+        # Validate the scenario parameters, the seed among them, once via a
+        # representative cell.
+        base = self._cell_spec(self.pi0[0], self.rho[0], self.d[0], seed=self.seed)
         needs_symmetry_at_zero = {"SAM-full", "SAM-2", "SAM+CT"} & set(methods)
         if needs_symmetry_at_zero or "novel-randomized" in methods:
             if base.shape is not HypothesisShape.DIRECTIONAL:
@@ -358,27 +364,15 @@ class StudySpec:
                 f"SAM-full enumerates 2^n sign flips per replicate; n <= {_SAM_FULL_MAX_N} "
                 f"required in studies (got n={self.n}) -- use SAM-2 or reduce n"
             )
-        if "SAM+CT" in methods and self.m > _SAM_CT_MAX_M:
+        if "SAM+CT" in methods and self.m > MAX_ORACLE_M:
             raise InfeasibleError(
-                f"SAM+CT runs the brute-force closure; m <= {_SAM_CT_MAX_M} required "
+                f"SAM+CT runs the brute-force closure; m <= {MAX_ORACLE_M} required "
                 f"(got m={self.m}) -- reduce m or drop SAM+CT"
             )
 
     def _cell_spec(self, pi0: float, rho: float, d: float, seed: int) -> ScenarioSpec:
-        return ScenarioSpec(
-            n=self.n,
-            m=self.m,
-            pi0=pi0,
-            rho=rho,
-            d=d,
-            shape=self.shape,
-            delta=self.delta,
-            noise=self.noise,
-            noise_df=self.noise_df,
-            replicates=self.replicates,
-            seed=seed,
-            independent_blocks=self.independent_blocks,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(ScenarioSpec)}
+        return ScenarioSpec(**{**shared, "pi0": pi0, "rho": rho, "d": d, "seed": seed})
 
     def cells(self) -> Iterator[tuple[int, ScenarioSpec]]:
         for cell_id, (pi0, rho, d) in enumerate(product(self.pi0, self.rho, self.d)):
@@ -386,36 +380,21 @@ class StudySpec:
             yield cell_id, self._cell_spec(pi0, rho, d, seed=cell_seed)
 
     def to_dict(self) -> dict:
+        """The spec as JSON values, keyed in field order."""
         return {
-            "n": self.n,
-            "m": self.m,
-            "pi0": list(self.pi0),
-            "rho": list(self.rho),
-            "d": list(self.d),
-            "methods": list(self.methods),
-            "t": self.t,
-            "gamma": self.gamma,
-            "shape": self.shape.value,
-            "delta": self.delta,
-            "noise": self.noise,
-            "noise_df": self.noise_df,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "independent_blocks": self.independent_blocks,
+            key: list(value) if isinstance(value, tuple)
+            else value.value if isinstance(value, HypothesisShape) else value
+            for key, value in asdict(self).items()
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudySpec":
         if not isinstance(raw, dict):
             raise ValueError("study spec must be a JSON object")
-        known = {
-            "n", "m", "pi0", "rho", "d", "methods", "t", "gamma", "shape",
-            "delta", "noise", "noise_df", "replicates", "seed", "independent_blocks",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown study spec keys: {sorted(unknown)}")
-        missing = {"n", "m", "pi0", "rho", "d", "methods", "t", "gamma"} - set(raw)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ValueError(f"study spec is missing required keys: {sorted(missing)}")
         kwargs = dict(raw)
@@ -426,17 +405,20 @@ class StudySpec:
                 raise ValueError(
                     f"shape must be 'directional' or 'equivalence', got {kwargs['shape']!r}"
                 ) from None
-        kwargs["methods"] = tuple(kwargs["methods"])
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "StudySpec":
+        """Read a spec file; every ``ValueError`` names the file."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"study spec {path}: invalid JSON ({exc})") from None
-        return cls.from_dict(raw)
+        try:
+            return cls.from_dict(raw)
+        except ValueError as exc:
+            raise ValueError(f"study spec {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -490,22 +472,7 @@ class MetricTable:
                 )
 
     def summary_dict(self) -> dict:
-        return {
-            "study": dict(self.study),
-            "rows": [
-                {
-                    "cell_id": r.cell_id,
-                    "pi0": r.pi0,
-                    "rho": r.rho,
-                    "d": r.d,
-                    "method": r.method,
-                    "metric": r.metric,
-                    "value": r.value,
-                    "se": r.se,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"study": dict(self.study), "rows": [asdict(r) for r in self.rows]}
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -566,8 +533,13 @@ def _sam_ct_group(spec: ScenarioSpec) -> TransformationGroup:
 def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> list[MetricRow]:
     methods = study.methods
     t, gamma = study.t, study.gamma
-    needs_data = bool({"SAM-full", "SAM+CT"} & set(methods)) or spec.noise != "normal"
+    needs_data = bool({"SAM-full", "SAM+CT"} & set(methods))
     needs_pvalues = bool({"BH", "LR", "flexible-pvals-export"} & set(methods))
+    # novel and SAM-2 both report the mirror estimate at t.
+    needs_estimate = bool({"novel", "SAM-2"} & set(methods))
+    estimate = (
+        estimate_directional if spec.shape is HypothesisShape.DIRECTIONAL else estimate_equivalence
+    )
     null_spec = NullDensitySpec.standard_normal()
     # Study statistics are sqrt(n) * column means: under a sign flip, (signs @ data) * scale.
     scale = math.sqrt(spec.n) / spec.n
@@ -592,37 +564,31 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 pv = directional_pvalues(sv, null_spec)
             else:
                 pv = equivalence_pvalues(sv, null_spec)
+        if needs_estimate:
+            est = estimate(sv, t)
+            v_true = truth.false_count(est.rejected)
 
         for name in methods:
             a = acc[name]
-            if name == "novel":
-                if spec.shape is HypothesisShape.DIRECTIONAL:
-                    est = estimate_directional(sv, t)
-                else:
-                    est = estimate_equivalence(sv, t)
-                v_true = truth.false_count(est.rejected)
+            if name in ("novel", "SAM-2"):
                 a.add_value("mean_fdp_estimate", est.fdp_hat)
-                a.add_value("mean_fdp_at_t", v_true / max(est.r, 1))
                 a.add_event("p_fdp_le_estimate", v_true <= est.v_tilde)
-                a.add_control(truth, control_mfdp(sv, gamma).rejected, gamma)
+                if name == "novel":
+                    a.add_value("mean_fdp_at_t", v_true / max(est.r, 1))
+                    a.add_control(truth, control_mfdp(sv, gamma).rejected, gamma)
             elif name == "novel-randomized":
                 coin_seed = int(
                     np.random.SeedSequence([spec.seed, rep, 9001]).generate_state(1)[0]
                 )
-                est = estimate_directional_randomized(sv, t, CoinSource(coin_seed))
-                v_true = truth.false_count(est.rejected)
-                a.add_value("mean_fdp_estimate", est.fdp_hat)
-                a.add_event("p_fdp_le_estimate", (not est.floored) and v_true <= est.v_tilde)
-                a.add_event("floor_rate", est.floored)
+                rnd = estimate_directional_randomized(sv, t, CoinSource(coin_seed))
+                rnd_true = truth.false_count(rnd.rejected)
+                a.add_value("mean_fdp_estimate", rnd.fdp_hat)
+                a.add_event("p_fdp_le_estimate", (not rnd.floored) and rnd_true <= rnd.v_tilde)
+                a.add_event("floor_rate", rnd.floored)
             elif name == "SAM-full":
                 sam = _sam_estimate((full_group.signs @ data) * scale, full_group, t, 0.5)
                 a.add_value("mean_fdp_estimate", sam.fdp_bar)
                 a.add_event("p_fdp_le_estimate", truth.false_count(sam.rejected) <= sam.v_bar)
-            elif name == "SAM-2":
-                est = estimate_directional(sv, t)
-                v_true = truth.false_count(est.rejected)
-                a.add_value("mean_fdp_estimate", est.fdp_hat)
-                a.add_event("p_fdp_le_estimate", v_true <= est.v_tilde)
             elif name == "SAM+CT":
                 family = LocalTestFamily._sam_from_statistics((ct_group.signs @ data) * scale, t, 0.5)
                 closure = run_closure(family)

@@ -3,10 +3,10 @@
 CSV conventions
 ---------------
 * Raw data files: one header row naming the columns; an optional ``group``
-  column holding exactly two labels; every other column is a numeric
-  feature.  Rows are observations.  Values parse as IEEE doubles; blank or
-  non-numeric cells are rejected at ingestion with the offending row/column
-  named.
+  column (any case) holding exactly two labels; every other column is a
+  numeric feature.  Rows are observations.  Values parse as IEEE doubles;
+  blank or non-numeric cells are rejected at ingestion with the offending
+  row/column named, and so is a column name that appears twice.
 * Statistic files: header ``index,statistic[,margin]`` (any case; later
   columns are ignored), one row per hypothesis, written at 17 significant
   digits so a written file re-reads to bit-identical values.  The indices
@@ -158,7 +158,13 @@ def read_data_csv(path) -> DataMatrix:
         if not header:
             raise ValueError(f"{path}: empty file (a header row is required)")
         header = [h.strip() for h in header]
-        group_idx = header.index(GROUP_COLUMN) if GROUP_COLUMN in header else None
+        keys = [GROUP_COLUMN if h.lower() == GROUP_COLUMN else h for h in header]
+        seen: set[str] = set()
+        for key in keys:
+            if key in seen:
+                raise ValueError(f"{path}: column {key!r} appears more than once in the header")
+            seen.add(key)
+        group_idx = keys.index(GROUP_COLUMN) if GROUP_COLUMN in keys else None
         feature_cols = [k for k in range(len(header)) if k != group_idx]
         if not feature_cols:
             raise ValueError(f"{path}: no numeric feature columns")

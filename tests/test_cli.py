@@ -278,6 +278,31 @@ class TestStatisticsFileInput:
         assert str(path) in err and problem in err
 
 
+class TestDataFileInput:
+    ROWS = "0,5.0,0.1\n0,5.5,-0.2\n0,6.0,0.3\n1,0.0,0.2\n1,0.5,-0.1\n1,-0.5,0.0\n"
+
+    def _control(self, capsys, tmp_path, header):
+        path = tmp_path / "g.csv"
+        path.write_text(f"{header}\n{self.ROWS}")
+        out_path = tmp_path / "ctl.json"
+        code, _, err = run(
+            capsys, "control", str(path), "--gamma", "0.4", "--delta", "0", "--out", str(out_path)
+        )
+        return code, err, json.loads(out_path.read_text())["result"] if code == 0 else None
+
+    @pytest.mark.parametrize("name", ["Group", "GROUP"])
+    def test_group_header_is_matched_in_any_case(self, capsys, tmp_path, name):
+        code, _, result = self._control(capsys, tmp_path, f"{name},f1,f2")
+        assert code == 0
+        assert result == self._control(capsys, tmp_path, "group,f1,f2")[2]
+        assert result["rejected_features"] == ["f1", "f2"]
+
+    def test_repeated_column_exits_2(self, capsys, tmp_path):
+        code, err, _ = self._control(capsys, tmp_path, "group,a,a")
+        assert code == 2
+        assert "g.csv" in err and "column 'a' appears more than once" in err
+
+
 # --- pvalues ----------------------------------------------------------------
 
 
@@ -417,6 +442,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--spec", str(path))
         assert code == 3
         assert "use SAM-2 or reduce n" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 5.5), ("m", 10.0), ("replicates", 2.5), ("seed", 1.5), ("independent_blocks", "no")],
+    )
+    def test_mistyped_spec_value_exits_2_naming_file_and_key(self, capsys, tmp_path, key, value):
+        spec = {
+            "n": 5, "m": 10, "pi0": 0.5, "rho": 0.3, "d": 1.0,
+            "methods": ["novel"], "t": 1.0, "gamma": 0.25, "replicates": 2, key: value,
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "simulate", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert f"study spec {path}: {key} must be" in err
 
     def test_bad_spec_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -120,8 +120,6 @@ class TestDirectionalProfile:
         assert profile.r_minus(2.49) == 1
 
     def test_jump_points(self, profile):
-        np.testing.assert_array_equal(profile.jump_points_r, [0.5, 3.0, 4.0])
-        np.testing.assert_array_equal(profile.jump_points_r_minus, [2.5])
         np.testing.assert_array_equal(profile.thresholds, [0.0, 0.5, 2.5, 3.0, 4.0])
 
     def test_vectorized_evaluation_matches_scalar(self, profile):
@@ -134,7 +132,7 @@ class TestDirectionalProfile:
         # cuts become T - delta = (2.0, -2.5, 0.25, 2.0)
         assert profile.r(1.0) == 2
         assert profile.r(2.0) == 0
-        np.testing.assert_array_equal(profile.jump_points_r, [0.25, 2.0])
+        np.testing.assert_array_equal(profile.thresholds, [0.0, 0.25, 2.0, 2.5])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,7 @@ def test_threshold_grid_structure(stats, margin):
 def test_right_continuity_at_jumps(stats):
     profile = build_profile(_sv(stats, 0.0))
     cuts = set(profile.thresholds.tolist())
-    for tau in profile.jump_points_r:
+    for tau in profile.thresholds[1:][np.diff(profile.r_grid) != 0]:
         below = np.nextafter(tau, -np.inf)
         assert profile.r(below) > profile.r(tau)  # a genuine jump
         above = np.nextafter(tau, np.inf)
@@ -353,6 +351,6 @@ def test_result_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             res.rejected[0] = 7
     profile = build_profile(sv)
-    for name in ("thresholds", "r_grid", "r_minus_grid", "jump_points_r", "jump_points_r_minus"):
+    for name in ("thresholds", "r_grid", "r_minus_grid"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(profile, name)[0] = 7

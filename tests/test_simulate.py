@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -204,8 +205,18 @@ class TestStudySpec:
             self._base(methods=("novel-randomized",), shape=EQU, delta=1.0)
 
     def test_json_round_trip(self, tmp_path):
-        study = self._base(pi0=[0.2, 1.0], methods=("novel", "BH"), noise="laplace")
+        study = self._base(
+            n=7, m=9, pi0=[0.2, 1.0], rho=[0.0, 0.3], d=[1.0, 2.0], methods=("novel", "BH"),
+            t=0.75, gamma=0.3, shape=EQU, delta=1.5, noise="laplace", noise_df=7.0,
+            replicates=11, seed=42, independent_blocks=True,
+        )
+        defaults = {f.name: f.default for f in fields(StudySpec) if f.default is not MISSING}
+        assert all(getattr(study, name) != value for name, value in defaults.items())
+        shared = {f.name for f in fields(ScenarioSpec)} - {"pi0", "rho", "d", "seed"}
+        for _, cell in study.cells():
+            assert all(getattr(cell, name) == getattr(study, name) for name in shared)
         raw = study.to_dict()
+        assert list(raw) == [f.name for f in fields(StudySpec)]
         again = StudySpec.from_dict(raw)
         assert again == study
         path = tmp_path / "study.json"
@@ -222,6 +233,23 @@ class TestStudySpec:
             StudySpec.from_dict({"n": 5, "m": 10, "pi0": 0.5, "rho": 0, "d": 1,
                                  "methods": ["novel"], "t": 0.5, "gamma": 0.2,
                                  "shape": "two-sided"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", 5.5), ("n", True), ("m", 10.0), ("replicates", 2.5), ("seed", 1.5),
+         ("independent_blocks", "no"), ("independent_blocks", 1)],
+    )
+    def test_from_json_rejects_mistyped_values(self, tmp_path, key, value):
+        raw = {**self._base(rho=0.3).to_dict(), key: value}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"study spec .*study.json: {key} must be"):
+            StudySpec.from_json(path)
+
+    def test_seed_is_validated_at_construction(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            self._base(seed=-1)
+        assert self._base(seed=np.int64(3)).seed == 3
 
     def test_from_json_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -73,6 +73,24 @@ class TestReadDataCsv:
         np.testing.assert_array_equal(dm.values, [[1.5, 2.5], [-0.5, 0.25]])
         np.testing.assert_array_equal(dm.group, ["a", "b"])
 
+    @pytest.mark.parametrize("name", ["Group", " GROUP "])
+    def test_group_column_is_matched_in_any_case(self, tmp_path, name):
+        path = tmp_path / "data.csv"
+        path.write_text(f"g1,{name},g2\n1.5,0,2.5\n-0.5,1,0.25\n")
+        dm = read_data_csv(path)
+        assert dm.feature_names == ("g1", "g2")
+        np.testing.assert_array_equal(dm.group, ["0", "1"])
+
+    @pytest.mark.parametrize(
+        "header, column",
+        [("group,a,a", "a"), ("a,b,a", "a"), ("a,Group,group", "group")],
+    )
+    def test_repeated_column_name_rejected(self, tmp_path, header, column):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{header}\n0,1,2\n1,3,4\n")
+        with pytest.raises(ValueError, match=f"data.csv: column '{column}' appears more than once"):
+            read_data_csv(path)
+
     def test_no_group_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,y\n1,2\n3,4\n")

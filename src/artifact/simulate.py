@@ -125,6 +125,10 @@ class ScenarioSpec:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("pi0", "rho", "d", "delta", "noise_df"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.independent_blocks, bool):
             raise ValueError(
                 f"independent_blocks must be true or false, got {self.independent_blocks!r}"

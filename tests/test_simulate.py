@@ -237,7 +237,8 @@ class TestStudySpec:
     @pytest.mark.parametrize(
         "key, value",
         [("n", 5.5), ("n", True), ("m", 10.0), ("replicates", 2.5), ("seed", 1.5),
-         ("independent_blocks", "no"), ("independent_blocks", 1)],
+         ("independent_blocks", "no"), ("independent_blocks", 1), ("delta", "0.5"),
+         ("noise_df", "five"), ("noise_df", False)],
     )
     def test_from_json_rejects_mistyped_values(self, tmp_path, key, value):
         raw = {**self._base(rho=0.3).to_dict(), key: value}

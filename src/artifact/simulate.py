@@ -103,6 +103,13 @@ STUDY_METHODS = (
 _SAM_FULL_MAX_N = 12
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool or a non-number raises, naming ``name``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One simulation cell: dimensions, signal placement, noise, and seed."""
@@ -126,9 +133,7 @@ class ScenarioSpec:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("pi0", "rho", "d", "delta", "noise_df"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            _real(name, getattr(self, name))
         if not isinstance(self.independent_blocks, bool):
             raise ValueError(
                 f"independent_blocks must be true or false, got {self.independent_blocks!r}"
@@ -296,13 +301,13 @@ def generate_statistics(spec: ScenarioSpec, replicate_index: int):
     return StatisticVector(t, spec.delta, spec.shape), truth
 
 
-def _as_grid(value) -> tuple[float, ...]:
+def _as_grid(name: str, value) -> tuple[float, ...]:
     if isinstance(value, (list, tuple, np.ndarray)):
-        grid = tuple(float(v) for v in value)
+        grid = tuple(_real(name, v) for v in value)
         if not grid:
             raise ValueError("grid parameters must be non-empty")
         return grid
-    return (float(value),)
+    return (_real(name, value),)
 
 
 @dataclass(frozen=True)
@@ -332,9 +337,9 @@ class StudySpec:
     independent_blocks: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "pi0", _as_grid(self.pi0))
-        object.__setattr__(self, "rho", _as_grid(self.rho))
-        object.__setattr__(self, "d", _as_grid(self.d))
+        object.__setattr__(self, "pi0", _as_grid("pi0", self.pi0))
+        object.__setattr__(self, "rho", _as_grid("rho", self.rho))
+        object.__setattr__(self, "d", _as_grid("d", self.d))
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("methods must be non-empty")
@@ -344,10 +349,10 @@ class StudySpec:
         if len(set(methods)) != len(methods):
             raise ValueError("methods must not repeat")
         object.__setattr__(self, "methods", methods)
-        t = float(self.t)
+        t = _real("t", self.t)
         if not np.isfinite(t) or t < 0.0:
             raise ValueError(f"t must be finite and >= 0, got {t}")
-        gamma = float(self.gamma)
+        gamma = _real("gamma", self.gamma)
         if not 0.0 <= gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {gamma}")
         object.__setattr__(self, "t", t)

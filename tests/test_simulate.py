@@ -238,7 +238,8 @@ class TestStudySpec:
         "key, value",
         [("n", 5.5), ("n", True), ("m", 10.0), ("replicates", 2.5), ("seed", 1.5),
          ("independent_blocks", "no"), ("independent_blocks", 1), ("delta", "0.5"),
-         ("noise_df", "five"), ("noise_df", False)],
+         ("noise_df", "five"), ("noise_df", False), ("pi0", True), ("rho", [0.0, "0.5"]),
+         ("t", True), ("gamma", "0.1")],
     )
     def test_from_json_rejects_mistyped_values(self, tmp_path, key, value):
         raw = {**self._base(rho=0.3).to_dict(), key: value}

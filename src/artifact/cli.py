@@ -175,14 +175,17 @@ def _add_statistics_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    directional = HypothesisShape(args.shape) is HypothesisShape.DIRECTIONAL
+    if args.windowed and directional:
+        raise ValueError("--windowed applies to the equivalence estimator only")
+    if args.randomized and not directional:
+        raise ValueError("--randomized applies to the directional estimator only")
     sv, names = _load_statistics(args)
     seed = None
     if args.randomized:
-        if HypothesisShape(args.shape) is not HypothesisShape.DIRECTIONAL:
-            raise ValueError("--randomized applies to the directional estimator only")
         seed = _ensure_seed(args)
         est = estimate_directional_randomized(sv, args.t, CoinSource(seed))
-    elif HypothesisShape(args.shape) is HypothesisShape.DIRECTIONAL:
+    elif directional:
         est = estimate_directional(sv, args.t)
     elif args.windowed:
         est = estimate_equivalence_windowed(sv, args.t)

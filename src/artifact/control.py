@@ -223,10 +223,17 @@ def write_pvalues_csv(pv: PValueVector, path) -> None:
 def read_pvalues_csv(path) -> np.ndarray:
     """Read a p-value CSV written by :func:`write_pvalues_csv`.
 
-    The indices must be 0..m-1, each once, in any order.
+    The indices must be 0..m-1, each once, in any order, and every p-value
+    must lie in [0, 1].
     """
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
         if _header(reader)[:2] != ["index", "pvalue"]:
             raise ValueError(f"{path}: expected header 'index,pvalue'")
-        return _read_indexed_rows(path, reader, 1)[:, 0].copy()
+        rows, lines = _read_indexed_rows(path, reader, ["pvalue"])
+    pvalues = rows[:, 0].copy()
+    outside = np.flatnonzero((pvalues < 0.0) | (pvalues > 1.0))
+    if outside.size:
+        k = outside[np.argmin(lines[outside])]
+        raise ValueError(f"{path}: row {lines[k]}: p-value {pvalues[k]:.17g} is outside [0, 1]")
+    return pvalues

@@ -1,10 +1,11 @@
 """Brute-force closed testing over all nonempty subsets of {0, ..., m-1}.
 
-This module is deliberately *slow and literal*: it enumerates every subset,
-evaluates the local test on each, forms the closure (a subset is in the
-rejected collection iff every superset's local test rejects), and computes
-confidence bounds ``t_alpha(I) = max{|J| : J subseteq I, J not rejected}``
-by exhaustive search.  Nothing here shares code with the fast estimators in
+What stays literal here is the enumeration: every local test is tabulated
+over all 2^m subsets, the closure evaluates the defining condition (a subset
+is in the rejected collection iff its own and every superset's local test
+reject) for every subset, and the confidence bound
+``t_alpha(I) = max{|J| : J subseteq I, J not rejected}`` walks every submask.
+Nothing here shares code with the fast estimators in
 :mod:`artifact.estimators`; agreement between the two routes (checked by
 :func:`verify_shortcut`) is the point.
 
@@ -114,37 +115,59 @@ def _indicator_bits(sv: StatisticVector, t: float, kind: str) -> tuple[np.ndarra
     raise ValueError(f"unknown count family {kind!r}")
 
 
+def _subset_bits(m: int) -> np.ndarray:
+    """The (2^m, m) 0/1 matrix whose row ``mask`` holds the bits of ``mask``."""
+    if m > MAX_ORACLE_M:
+        raise InfeasibleError(
+            f"the oracle enumerates all 2^m subsets; m <= {MAX_ORACLE_M} required, got m={m}"
+        )
+    return (np.arange(1 << m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+
+
 @dataclass(frozen=True, eq=False)
 class LocalTestFamily:
-    """A family of subset-level tests phi_I, indexed by bitmask.
+    """A family of subset-level tests phi_I, held as one table over all masks.
 
-    Use the classmethod constructors; ``phi(mask)`` evaluates the local
-    test for the nonempty subset encoded by ``mask``.
+    ``phi_values[mask]`` is the local test of the subset encoded by ``mask``:
+    a read-only boolean array of 2^m entries (1 <= m <= 12) whose entry 0,
+    the empty set, is False.  Use the classmethod constructors;
+    ``phi(mask)`` reads the table for a nonempty subset.
     """
 
     kind: str
-    m: int
-    _phi: Callable[[int], bool]
+    phi_values: np.ndarray
     b: int | None = None
 
+    def __post_init__(self):
+        table = np.array(self.phi_values)
+        if table.dtype != bool or table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
+            raise ValueError("phi_values must be a 1-d boolean array of 2^m entries, m >= 1")
+        if table.size > 1 << MAX_ORACLE_M:
+            raise InfeasibleError(f"phi_values has 2^m entries; m <= {MAX_ORACLE_M} required")
+        if table[0]:
+            raise ValueError("phi_values[0] is the empty set's entry and must be False")
+        table.flags.writeable = False
+        object.__setattr__(self, "phi_values", table)
+
+    @property
+    def m(self) -> int:
+        return self.phi_values.size.bit_length() - 1
+
     def phi(self, mask: int) -> bool:
-        if not 1 <= mask < (1 << self.m):
+        if not 1 <= mask < self.phi_values.size:
             raise ValueError(f"mask must encode a nonempty subset of {self.m} hypotheses")
-        return self._phi(mask)
+        return bool(self.phi_values[mask])
 
     @classmethod
     def _from_counts(cls, kind: str, sv: StatisticVector, t: float, b: int | None = None) -> "LocalTestFamily":
         r_bits, m_bits = _indicator_bits(sv, t, kind)
-        r_int = indices_to_mask(np.flatnonzero(r_bits))
-        m_int = indices_to_mask(np.flatnonzero(m_bits))
-        tie_credit = int(b) if b is not None else 0
-
-        def phi(mask: int) -> bool:
-            r_count = (mask & r_int).bit_count()
-            m_count = (mask & m_int).bit_count()
-            return r_count > m_count or (tie_credit == 1 and r_count == m_count)
-
-        return cls(kind=kind, m=sv.m, _phi=phi, b=b)
+        bits = _subset_bits(sv.m)
+        r_count, m_count = bits @ r_bits, bits @ m_bits
+        table = r_count > m_count
+        if b == 1:
+            table |= r_count == m_count
+            table[0] = False  # the empty set's 0 == 0 is no tie to credit
+        return cls(kind=kind, phi_values=table, b=b)
 
     @classmethod
     def directional_basic(cls, sv: StatisticVector, t: float) -> "LocalTestFamily":
@@ -183,8 +206,8 @@ class LocalTestFamily:
         For subset I, reject H_I iff ``R_I(X, t)`` strictly exceeds the
         ``ceil((1-alpha)*B)``-th smallest of ``{R_I(g(X), t)}`` over the
         group.  This is how a resampling bound plugs into closed testing.
-        The whole 2^m table is built here, so m <= 12 (``MAX_ORACLE_M``)
-        is required even to read a single mask; larger m raises
+        Like every family, the whole 2^m table is built here, so
+        m <= 12 (``MAX_ORACLE_M``) is required; larger m raises
         :class:`InfeasibleError`.
         """
         return cls._sam_from_statistics(group.statistics(data, statistic_fn), t, alpha)
@@ -210,10 +233,7 @@ class LocalTestFamily:
             raise ValueError(f"threshold t must be finite, got {t}")
         reject_bits = stats > t
         n_transforms, m = reject_bits.shape
-        if m > MAX_ORACLE_M:
-            raise InfeasibleError(
-                f"the sam-subset table has 2^m entries; m <= {MAX_ORACLE_M} required, got m={m}"
-            )
+        bits = _subset_bits(m)
         k = _order_index(alpha, n_transforms)
         n_masks = 1 << m
         codes = reject_bits @ (1 << np.arange(m, dtype=np.int64))
@@ -227,9 +247,7 @@ class LocalTestFamily:
             set_[0] = clear[0]
             clear[...] = merged
         bounds = (np.cumsum(levels, axis=0) < k).sum(axis=0)
-        mask_bits = (np.arange(n_masks, dtype=np.int64)[:, None] >> np.arange(m)) & 1
-        table = mask_bits @ reject_bits[0] > bounds
-        return cls(kind="sam-subset", m=m, _phi=lambda mask: bool(table[mask]))
+        return cls(kind="sam-subset", phi_values=bits @ reject_bits[0] > bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,42 +293,21 @@ class ClosureResult:
         return best
 
 
-def run_closure(family: LocalTestFamily, m: int | None = None) -> ClosureResult:
-    """Evaluate every local test and form the closure, with no shortcuts.
+def run_closure(family: LocalTestFamily) -> ClosureResult:
+    """Form the closure of the family's local tests over all 2^m masks.
 
-    Masks are processed by decreasing population count so each subset's
-    membership can be read off its immediate supersets, which is still an
-    exhaustive evaluation of the defining condition.
+    The membership table starts as a copy of ``family.phi_values``; pass j
+    ANDs into every mask without bit j the entry of its superset
+    ``mask | 1 << j``.  After the m passes each mask holds the AND of its
+    own local test and every superset's, which is the defining condition
+    evaluated for every subset.
     """
-    if m is None:
-        m = family.m
-    elif m != family.m:
-        raise ValueError(f"m={m} does not match the family's m={family.m}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > MAX_ORACLE_M:
-        raise InfeasibleError(
-            f"brute-force closure enumerates 2^m - 1 subsets; m <= {MAX_ORACLE_M} required, got m={m}"
-        )
-    n_masks = 1 << m
-    phi_values = np.zeros(n_masks, dtype=bool)
-    membership = np.zeros(n_masks, dtype=bool)
-    popcounts = np.asarray([mask.bit_count() for mask in range(n_masks)])
-    for size in range(m, 0, -1):
-        for mask in np.flatnonzero(popcounts == size):
-            mask = int(mask)
-            ok = family.phi(mask)
-            phi_values[mask] = ok
-            if ok:
-                for j in range(m):
-                    bit = 1 << j
-                    if not mask & bit and not membership[mask | bit]:
-                        ok = False
-                        break
-            membership[mask] = ok
+    membership = family.phi_values.copy()
+    for j in range(family.m):
+        pairs = membership.reshape(-1, 2, 1 << j)
+        pairs[:, 0] &= pairs[:, 1]
     membership.flags.writeable = False
-    phi_values.flags.writeable = False
-    return ClosureResult(m=m, membership=membership, phi_values=phi_values)
+    return ClosureResult(m=family.m, membership=membership, phi_values=family.phi_values)
 
 
 def _closed_form_membership(family: LocalTestFamily, sv: StatisticVector, t: float) -> np.ndarray:
@@ -327,9 +324,7 @@ def _closed_form_membership(family: LocalTestFamily, sv: StatisticVector, t: flo
     m = sv.m
     if m != family.m:
         raise ValueError(f"statistic vector has m={m} but family has m={family.m}")
-    masks = np.arange(1 << m, dtype=np.int64)
-    subset_bits = ((masks[:, None] >> np.arange(m)[None, :]) & 1).astype(bool)
-    r_subset = subset_bits @ r_bits.astype(np.int64)
+    r_subset = _subset_bits(m) @ r_bits
     r_minus_global = int(m_bits.sum())
     member = r_subset > r_minus_global
     if kind == "directional-randomized" and family.b == 1:

@@ -340,6 +340,10 @@ class StudySpec:
         object.__setattr__(self, "pi0", _as_grid("pi0", self.pi0))
         object.__setattr__(self, "rho", _as_grid("rho", self.rho))
         object.__setattr__(self, "d", _as_grid("d", self.d))
+        if not isinstance(self.methods, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.methods
+        ):
+            raise ValueError("methods must be a list of method names")
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("methods must be non-empty")

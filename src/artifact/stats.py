@@ -10,7 +10,8 @@ CSV conventions
 * Statistic files: header ``index,statistic[,margin]`` (any case; later
   columns are ignored), one row per hypothesis, written at 17 significant
   digits so a written file re-reads to bit-identical values.  The indices
-  must be 0..m-1, each once, in any order.
+  must be 0..m-1, each once, in any order, and every value must be finite;
+  a non-finite cell is rejected with its row and column named.
 
 Every reader drops a leading UTF-8 byte-order mark.
 
@@ -57,12 +58,15 @@ def _is_statistics_file(path) -> bool:
         return _header(csv.reader(fh))[:2] == ["index", "statistic"]
 
 
-def _read_indexed_rows(path, reader, n_values: int) -> np.ndarray:
-    """The ``index,<n_values floats>`` rows left in ``reader``, ordered by index.
+def _read_indexed_rows(path, reader, columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``index,<columns>`` float rows left in ``reader``, ordered by index.
 
-    Blank lines are skipped.  The indices must be 0..m-1, each once: an
+    Returns the (m, len(columns)) values and the line number of each row,
+    both in index order.  Blank lines are skipped.  Every value must be
+    finite and the indices must be 0..m-1, each once: a non-finite cell, an
     out-of-range or repeated index raises, naming the row.
     """
+    n_values = len(columns)
     lines: list[int] = []
     indices: list[int] = []
     values: list[float] = []
@@ -80,6 +84,13 @@ def _read_indexed_rows(path, reader, n_values: int) -> np.ndarray:
     if not lines:
         raise ValueError(f"{path}: no data rows")
     m = len(lines)
+    table = np.asarray(values, dtype=np.float64).reshape(m, n_values)
+    non_finite = np.argwhere(~np.isfinite(table))
+    if non_finite.size:
+        k, c = non_finite[0]
+        raise ValueError(
+            f"{path}: row {lines[k]}, column '{columns[c]}': non-finite value {table[k, c]:g}"
+        )
     index = np.asarray(indices)
     stray = np.flatnonzero((index < 0) | (index >= m))
     if stray.size:
@@ -93,7 +104,7 @@ def _read_indexed_rows(path, reader, n_values: int) -> np.ndarray:
     if repeats.size:
         first, again = order[repeats[0]], order[repeats[0] + 1]
         raise ValueError(f"{path}: row {lines[again]}: index {indices[again]} repeats row {lines[first]}")
-    return np.asarray(values, dtype=np.float64).reshape(m, n_values)[order]
+    return table[order], np.asarray(lines)[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +208,13 @@ def read_data_csv(path) -> DataMatrix:
                 groups.append(row[group_idx].strip())
         if not rows:
             raise ValueError(f"{path}: no data rows")
+    if group_idx is not None:
+        labels = list(dict.fromkeys(groups))
+        if len(labels) != 2:
+            raise ValueError(
+                f"{path}: group column '{header[group_idx]}' must hold exactly two distinct "
+                f"labels, found {len(labels)}: {labels[:5]!r}"
+            )
     return DataMatrix(
         values=np.asarray(rows, dtype=np.float64),
         feature_names=tuple(header[k] for k in feature_cols),
@@ -218,7 +236,7 @@ def read_statistics_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
                 f"{path}: expected header 'index,statistic[,margin]', got {header!r}"
             )
         has_margin = len(header) > 2
-        rows = _read_indexed_rows(path, reader, 2 if has_margin else 1)
+        rows, _ = _read_indexed_rows(path, reader, header[1:3])
     return rows[:, 0].copy(), rows[:, 1].copy() if has_margin else None
 
 

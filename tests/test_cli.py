@@ -171,6 +171,11 @@ class TestEstimate:
         assert code == 2
         assert "directional estimator only" in err
 
+    def test_windowed_rejects_directional(self, capsys, stats_csv):
+        code, out, err = run(capsys, "estimate", str(stats_csv), "--windowed")
+        assert code == 2 and out == ""
+        assert "--windowed applies to the equivalence estimator only" in err
+
     def test_windowed_equivalence(self, capsys, tmp_path):
         path = tmp_path / "eq.csv"
         path.write_text("index,statistic\n0,0.2\n1,-0.3\n2,2.6\n3,7.0\n")
@@ -206,6 +211,14 @@ class TestControl:
         assert code == 0
         assert "never-exceeded" in out
         assert "s_plus    0" in out
+
+    @pytest.mark.parametrize("cell, value", [("nan", "nan"), ("1e400", "inf")])
+    def test_non_finite_statistic_exits_2_naming_row_and_column(self, capsys, tmp_path, cell, value):
+        path = tmp_path / "s.csv"
+        path.write_text(f"index,statistic\n0,5.0\n1,{cell}\n")
+        code, out, err = run(capsys, "control", str(path), "--gamma", "0.4", "--delta", "0")
+        assert code == 2 and out == ""
+        assert f"{path}: row 3, column 'statistic': non-finite value {value}" in err
 
     def test_json_document(self, capsys, stats_csv, tmp_path):
         out_path = tmp_path / "ctl.json"
@@ -445,7 +458,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n", 5.5), ("m", 10.0), ("replicates", 2.5), ("seed", 1.5), ("independent_blocks", "no")],
+        [("n", 5.5), ("m", 10.0), ("replicates", 2.5), ("seed", 1.5), ("independent_blocks", "no"),
+         ("methods", "novel"), ("methods", {"novel": 1})],
     )
     def test_mistyped_spec_value_exits_2_naming_file_and_key(self, capsys, tmp_path, key, value):
         spec = {

@@ -422,3 +422,18 @@ class TestPvalueVectorAndCsv:
         path.write_text("index,pvalue\n" + rows)
         with pytest.raises(ValueError, match=problem):
             read_pvalues_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("0,0.5\n1,nan\n2,0.25\n", r"row 3, column 'pvalue': non-finite value nan"),
+            ("2,0.5\n0,1.5\n1,-0.25\n", r"row 3: p-value 1.5 is outside \[0, 1\]"),
+            ("1,0.5\n0,-0.25\n", r"row 3: p-value -0.25 is outside \[0, 1\]"),
+        ],
+        ids=["nan", "above-one", "negative"],
+    )
+    def test_read_rejects_non_finite_or_out_of_range_values(self, tmp_path, rows, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,pvalue\n" + rows)
+        with pytest.raises(ValueError, match=f"bad.csv: {problem}"):
+            read_pvalues_csv(path)

@@ -57,8 +57,9 @@ class TestRunClosure:
         rng = np.random.default_rng(15)
         m = 7
         raw = rng.random(1 << m) < 0.55
+        raw[0] = False  # the empty set's entry
 
-        family = LocalTestFamily(kind="custom", m=m, _phi=lambda mask: bool(raw[mask]))
+        family = LocalTestFamily(kind="custom", phi_values=raw)
         closure = run_closure(family)
         full = (1 << m) - 1
         for mask in range(1, 1 << m):
@@ -100,10 +101,19 @@ class TestRunClosure:
         with pytest.raises(InfeasibleError, match="m <= 12"):
             run_closure(LocalTestFamily.directional_basic(sv, t=0.0))
 
-    def test_m_mismatch_rejected(self):
-        family = LocalTestFamily.directional_basic(_sv([1.0, 2.0], 0.0), t=0.0)
-        with pytest.raises(ValueError, match="does not match"):
-            run_closure(family, m=3)
+    def test_table_validation(self):
+        for bad in (np.zeros(8, dtype=int), np.zeros(6, dtype=bool), np.zeros(1, dtype=bool),
+                    np.zeros((2, 4), dtype=bool), np.arange(8) >= 0):
+            with pytest.raises(ValueError, match="phi_values"):
+                LocalTestFamily(kind="custom", phi_values=bad)
+        with pytest.raises(InfeasibleError, match="m <= 12"):
+            LocalTestFamily(kind="custom", phi_values=np.zeros(1 << 13, dtype=bool))
+        raw = np.arange(8) % 3 == 1
+        family = LocalTestFamily(kind="custom", phi_values=raw)
+        raw[1] = False  # the family holds its own read-only copy
+        assert family.m == 3 and family.phi(1)
+        with pytest.raises(ValueError, match="read-only"):
+            family.phi_values[1] = False
 
     def test_mask_validation(self):
         family = LocalTestFamily.directional_basic(_sv([1.0, 2.0], 0.0), t=0.0)
@@ -229,7 +239,7 @@ class TestShortcutVerification:
         # a sabotaged always-reject family must produce mismatches, otherwise
         # the zero-mismatch reports above would be vacuous
         sv = _sv([-5.0, -5.0, -5.0], 0.0)
-        family = LocalTestFamily(kind="directional-basic", m=3, _phi=lambda mask: True)
+        family = LocalTestFamily(kind="directional-basic", phi_values=np.arange(8) > 0)
         report = verify_shortcut(family, sv, t=1.0)
         assert report["mismatches"] == 7
         assert len(report["mismatch_masks"]) == 7

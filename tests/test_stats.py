@@ -109,6 +109,15 @@ class TestReadDataCsv:
         with pytest.raises(ValueError, match="row 3.*'y'.*oops"):
             read_data_csv(path)
 
+    @pytest.mark.parametrize("labels", [("a", "a", "a"), ("a", "b", "c")], ids=["one", "three"])
+    def test_group_column_needs_two_labels_names_file_and_column(self, tmp_path, labels):
+        path = tmp_path / "data.csv"
+        path.write_text("x,Group\n" + "".join(f"{i},{g}\n" for i, g in enumerate(labels)))
+        with pytest.raises(
+            ValueError, match=f"data.csv: group column 'Group' must hold exactly two .* found {len(set(labels))}"
+        ):
+            read_data_csv(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,y\n1,2,3\n")
@@ -186,6 +195,21 @@ class TestStatisticsCsv:
         path = tmp_path / "stats.csv"
         path.write_text("index,statistic\n" + rows)
         with pytest.raises(ValueError, match=problem):
+            read_statistics_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("0,1.0,0.1\n1,nan,0.2\n", "row 3, column 'statistic': non-finite value nan"),
+            ("0,1e400,0.1\n1,2.0,0.2\n", "row 2, column 'statistic': non-finite value inf"),
+            ("0,1.0,0.1\n1,2.0,-inf\n", "row 3, column 'margin': non-finite value -inf"),
+        ],
+        ids=["nan", "overflow", "margin"],
+    )
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path, rows, problem):
+        path = tmp_path / "stats.csv"
+        path.write_text("index,statistic,margin\n" + rows)
+        with pytest.raises(ValueError, match=f"stats.csv: {problem}"):
             read_statistics_csv(path)
 
     def test_malformed_row(self, tmp_path):

@@ -22,6 +22,7 @@ neither is an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import secrets
@@ -40,7 +41,7 @@ from .control import (
     write_pvalues_csv,
 )
 from .core import FdpEstimate, HypothesisShape, InfeasibleError, StatisticVector
-from .ct_oracle import verify_random_instances
+from .ct_oracle import COUNT_FAMILIES, verify_random_instances
 from .estimators import (
     CoinSource,
     estimate_directional,
@@ -80,18 +81,28 @@ def _format_indices(indices) -> str:
     return " ".join(seq) if seq else "(none)"
 
 
-def _write_json(path, command: str, seed, config: dict, result: dict) -> None:
+def _write_json(args, seed, result: dict, *config_keys: str) -> None:
+    """The ``--out`` document; its config is the named arguments, in order."""
+    config = {key: getattr(args, key) for key in config_keys}
     payload = {
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "seed": seed,
         "config_hash": _config_hash(config),
         "config": config,
         "result": result,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _report(args, seed, pairs: list[tuple[str, str]], result: dict, *config_keys: str) -> int:
+    """Print the result table and, with ``--out``, write the JSON document."""
+    _print_table(pairs, args.csv)
+    if args.out:
+        _write_json(args, seed, result, *config_keys)
+    return 0
 
 
 def _ensure_seed(args) -> int:
@@ -180,6 +191,8 @@ def _cmd_estimate(args) -> int:
         raise ValueError("--windowed applies to the equivalence estimator only")
     if args.randomized and not directional:
         raise ValueError("--randomized applies to the directional estimator only")
+    if args.seed is not None and not args.randomized:
+        raise ValueError("--seed applies to --randomized only")
     sv, names = _load_statistics(args)
     seed = None
     if args.randomized:
@@ -205,19 +218,9 @@ def _cmd_estimate(args) -> int:
     ]
     if est.randomized:
         pairs.append(("coin", str(est.coin)))
-    _print_table(pairs, args.csv)
-    if args.out:
-        config = {
-            "input": str(args.input),
-            "shape": args.shape,
-            "delta": args.delta,
-            "t": args.t,
-            "statistic": args.statistic,
-            "randomized": args.randomized,
-            "windowed": args.windowed,
-        }
-        _write_json(args.out, "estimate", seed, config, result)
-    return 0
+    return _report(
+        args, seed, pairs, result, "input", "shape", "delta", "t", "statistic", "randomized", "windowed"
+    )
 
 
 def _cmd_control(args) -> int:
@@ -243,17 +246,7 @@ def _cmd_control(args) -> int:
         ("fdp_hat", f"{ctl.fdp_hat:.6g}"),
         ("rejected", _format_indices(ctl.rejected)),
     ]
-    _print_table(pairs, args.csv)
-    if args.out:
-        config = {
-            "input": str(args.input),
-            "shape": args.shape,
-            "delta": args.delta,
-            "gamma": args.gamma,
-            "statistic": args.statistic,
-        }
-        _write_json(args.out, "control", None, config, result)
-    return 0
+    return _report(args, None, pairs, result, "input", "shape", "delta", "gamma", "statistic")
 
 
 def _parse_null(text: str) -> NullDensitySpec:
@@ -269,6 +262,8 @@ def _parse_null(text: str) -> NullDensitySpec:
 
 
 def _cmd_pvalues(args) -> int:
+    if args.out and args.csv:
+        raise ValueError("--csv applies to printed p-values only; --out always writes CSV")
     sv, _names = _load_statistics(args)
     null = _parse_null(args.null)
     if sv.shape is HypothesisShape.DIRECTIONAL:
@@ -330,15 +325,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify_ct(args) -> int:
     seed = _ensure_seed(args)
-    if args.family == "all":
-        kinds = [
-            "directional-basic",
-            "directional-randomized",
-            "equivalence-basic",
-            "equivalence-windowed",
-        ]
-    else:
-        kinds = [args.family]
+    kinds = COUNT_FAMILIES if args.family == "all" else (args.family,)
     reports = []
     total = 0
     for offset, kind in enumerate(kinds):
@@ -350,9 +337,8 @@ def _cmd_verify_ct(args) -> int:
             f"{report['subsets_checked']} subsets checked, {report['mismatches']} mismatches"
         )
     if args.out:
-        config = {"family": args.family, "m": args.m, "instances": args.instances}
         result = {"reports": reports, "total_mismatches": total}
-        _write_json(args.out, "verify-ct", seed, config, result)
+        _write_json(args, seed, result, "family", "m", "instances")
     return 0
 
 
@@ -384,24 +370,7 @@ def _cmd_exact_test(args) -> int:
         ("n_transforms", str(res.n_transforms)),
         ("order_index", str(res.order_index)),
     ]
-    _print_table(pairs, args.csv)
-    if args.out:
-        config = {
-            "input": str(args.input),
-            "test": args.test,
-            "alpha": args.alpha,
-            "feature": args.feature,
-        }
-        result = {
-            "reject": res.reject,
-            "t_observed": res.t_observed,
-            "critical_value": res.critical_value,
-            "alpha": res.alpha,
-            "n_transforms": res.n_transforms,
-            "order_index": res.order_index,
-        }
-        _write_json(args.out, "exact-test", None, config, result)
-    return 0
+    return _report(args, None, pairs, dataclasses.asdict(res), "input", "test", "alpha", "feature")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,17 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("verify-ct", help="brute-force closed testing vs. the closed forms")
-    p.add_argument(
-        "--family",
-        choices=[
-            "directional-basic",
-            "directional-randomized",
-            "equivalence-basic",
-            "equivalence-windowed",
-            "all",
-        ],
-        default="all",
-    )
+    p.add_argument("--family", choices=[*COUNT_FAMILIES, "all"], default="all")
     p.add_argument("--m", type=int, default=8, help="maximum hypotheses per instance (<= 12)")
     p.add_argument("--instances", type=int, default=500, help="random instances per family")
     p.add_argument("--seed", type=int, default=None)

@@ -154,15 +154,11 @@ class NullDensitySpec:
         return np.asarray(self.cdf(x), dtype=np.float64)
 
     def sf_at(self, x: np.ndarray) -> np.ndarray:
-        """1 - F(x), evaluated without cancellation for the built-in families."""
+        """1 - F(x); the built-in families use symmetry, F(-x), to avoid cancellation."""
         x = np.asarray(x, dtype=np.float64)
-        if self.family == "standard-normal":
-            return _sps.ndtr(-x)
-        if self.family == "scaled-normal":
-            return _sps.ndtr(-x / self.sigma)
-        if self.family == "student-t":
-            return _sps.stdtr(self.nu, -x)
-        return 1.0 - np.asarray(self.cdf(x), dtype=np.float64)
+        if self.family == "user":
+            return 1.0 - self.cdf_at(x)
+        return self.cdf_at(-x)
 
 
 @dataclass(frozen=True, eq=False)

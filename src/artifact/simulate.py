@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
@@ -62,7 +63,7 @@ from .control import (
     equivalence_pvalues,
     write_pvalues_csv,
 )
-from .core import HypothesisShape, InfeasibleError, StatisticVector, _signed_cuts
+from .core import HypothesisShape, InfeasibleError, StatisticVector
 from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
 from .estimators import (
     CoinSource,
@@ -450,7 +451,8 @@ class MetricRow:
 class MetricTable:
     """Long-format study results: one row per (cell, method, metric).
 
-    Metrics by method:
+    Rows run in cell order, within a cell in the study's method order, and
+    within a method in the metric order listed here:
 
     * novel -- mean_fdp_estimate, mean_fdp_at_t, p_fdp_le_estimate (all at
       the study threshold t), then p_control, mean_rejections, power for
@@ -459,7 +461,8 @@ class MetricTable:
     * SAM-full / SAM-2 -- mean_fdp_estimate, p_fdp_le_estimate;
     * SAM+CT -- mean_ct_bound, p_v_le_ct_bound;
     * BH / LR -- p_control, mean_rejections, power;
-    * flexible-pvals-export -- n_exported (files written, first replicate).
+    * flexible-pvals-export -- n_exported (files written at the first
+      replicate: 1 with an output directory, else 0; se 0).
 
     ``power`` rows are omitted in cells where no hypothesis is false.
     Probabilities carry binomial standard errors sqrt(p(1-p)/reps); means
@@ -488,52 +491,27 @@ class MetricTable:
         return {"study": dict(self.study), "rows": [asdict(r) for r in self.rows]}
 
 
-def _mean_se(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, se
-
-
 def _prob_se(events: list[bool]) -> tuple[float, float]:
     arr = np.asarray(events, dtype=np.float64)
     p = float(arr.mean())
     return p, math.sqrt(p * (1.0 - p) / arr.size)
 
 
-class _CellAccumulator:
-    """Per-replicate metric values for one (cell, method) pair."""
-
-    def __init__(self):
-        self.means: dict[str, list[float]] = {}
-        self.events: dict[str, list[bool]] = {}
-
-    def add_value(self, metric: str, value: float) -> None:
-        self.means.setdefault(metric, []).append(float(value))
-
-    def add_event(self, metric: str, happened: bool) -> None:
-        self.events.setdefault(metric, []).append(bool(happened))
-
-    def add_control(self, truth: ScenarioTruth, rejected: np.ndarray, gamma: float) -> None:
-        """The gamma-level control metrics: p_control, mean_rejections, power."""
-        self.add_event("p_control", truth.fdp(rejected) <= gamma)
-        self.add_value("mean_rejections", len(rejected))
-        if truth.n_false:
-            self.add_value("power", truth.power_fraction(rejected))
+def _value_se(samples: list) -> tuple[float, float]:
+    """Events (bools) give a probability, other values a mean; each with its se."""
+    if np.asarray(samples).dtype == bool:
+        return _prob_se(samples)
+    arr = np.asarray(samples, dtype=np.float64)
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), se
 
 
-_METRIC_ORDER = (
-    "mean_fdp_estimate",
-    "mean_fdp_at_t",
-    "p_fdp_le_estimate",
-    "floor_rate",
-    "mean_ct_bound",
-    "p_v_le_ct_bound",
-    "p_control",
-    "mean_rejections",
-    "power",
-    "n_exported",
-)
+def _add_control(metrics: dict[str, list], truth: ScenarioTruth, rejected, gamma: float) -> None:
+    """The gamma-level control metrics: p_control, mean_rejections, power."""
+    metrics["p_control"].append(truth.fdp(rejected) <= gamma)
+    metrics["mean_rejections"].append(len(rejected))
+    if truth.n_false:
+        metrics["power"].append(truth.power_fraction(rejected))
 
 
 def _sam_ct_group(spec: ScenarioSpec) -> TransformationGroup:
@@ -548,8 +526,8 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     t, gamma = study.t, study.gamma
     needs_data = bool({"SAM-full", "SAM+CT"} & set(methods))
     needs_pvalues = bool({"BH", "LR", "flexible-pvals-export"} & set(methods))
-    # novel and SAM-2 both report the mirror estimate at t.
-    needs_estimate = bool({"novel", "SAM-2"} & set(methods))
+    # novel and SAM-2 report the mirror estimate at t; SAM+CT bounds its rejections.
+    needs_estimate = bool({"novel", "SAM-2", "SAM+CT"} & set(methods))
     estimate = (
         estimate_directional if spec.shape is HypothesisShape.DIRECTIONAL else estimate_equivalence
     )
@@ -560,8 +538,8 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     full_group = TransformationGroup.sign_flip_full(spec.n) if "SAM-full" in methods else None
     ct_group = _sam_ct_group(spec) if "SAM+CT" in methods else None
 
-    acc: dict[str, _CellAccumulator] = {name: _CellAccumulator() for name in methods}
-    n_exported = 0
+    # Per method, each metric's per-replicate values, keyed in output order.
+    values: dict[str, dict[str, list]] = {name: defaultdict(list) for name in methods}
 
     for rep in range(spec.replicates):
         if needs_data:
@@ -582,61 +560,49 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
             v_true = truth.false_count(est.rejected)
 
         for name in methods:
-            a = acc[name]
-            if name in ("novel", "SAM-2"):
-                a.add_value("mean_fdp_estimate", est.fdp_hat)
-                a.add_event("p_fdp_le_estimate", v_true <= est.v_tilde)
-                if name == "novel":
-                    a.add_value("mean_fdp_at_t", v_true / max(est.r, 1))
-                    a.add_control(truth, control_mfdp(sv, gamma).rejected, gamma)
+            metrics = values[name]
+            if name == "novel":
+                metrics["mean_fdp_estimate"].append(est.fdp_hat)
+                metrics["mean_fdp_at_t"].append(v_true / max(est.r, 1))
+                metrics["p_fdp_le_estimate"].append(v_true <= est.v_tilde)
+                _add_control(metrics, truth, control_mfdp(sv, gamma).rejected, gamma)
+            elif name == "SAM-2":
+                metrics["mean_fdp_estimate"].append(est.fdp_hat)
+                metrics["p_fdp_le_estimate"].append(v_true <= est.v_tilde)
             elif name == "novel-randomized":
                 coin_seed = int(
                     np.random.SeedSequence([spec.seed, rep, 9001]).generate_state(1)[0]
                 )
                 rnd = estimate_directional_randomized(sv, t, CoinSource(coin_seed))
                 rnd_true = truth.false_count(rnd.rejected)
-                a.add_value("mean_fdp_estimate", rnd.fdp_hat)
-                a.add_event("p_fdp_le_estimate", (not rnd.floored) and rnd_true <= rnd.v_tilde)
-                a.add_event("floor_rate", rnd.floored)
+                metrics["mean_fdp_estimate"].append(rnd.fdp_hat)
+                metrics["p_fdp_le_estimate"].append((not rnd.floored) and rnd_true <= rnd.v_tilde)
+                metrics["floor_rate"].append(rnd.floored)
             elif name == "SAM-full":
                 sam = _sam_estimate((full_group.signs @ data) * scale, full_group, t, 0.5)
-                a.add_value("mean_fdp_estimate", sam.fdp_bar)
-                a.add_event("p_fdp_le_estimate", truth.false_count(sam.rejected) <= sam.v_bar)
+                metrics["mean_fdp_estimate"].append(sam.fdp_bar)
+                metrics["p_fdp_le_estimate"].append(truth.false_count(sam.rejected) <= sam.v_bar)
             elif name == "SAM+CT":
                 family = LocalTestFamily._sam_from_statistics((ct_group.signs @ data) * scale, t, 0.5)
                 closure = run_closure(family)
-                rejected = np.flatnonzero(_signed_cuts(sv) > t)
-                mask = indices_to_mask(rejected)
+                mask = indices_to_mask(est.rejected)
                 bound = closure.t_alpha(mask) if mask else 0
-                a.add_value("mean_ct_bound", bound)
-                a.add_event("p_v_le_ct_bound", truth.false_count(rejected) <= bound)
+                metrics["mean_ct_bound"].append(bound)
+                metrics["p_v_le_ct_bound"].append(v_true <= bound)
             elif name == "BH":
-                a.add_control(truth, benjamini_hochberg(pv.values, gamma), gamma)
+                _add_control(metrics, truth, benjamini_hochberg(pv.values, gamma), gamma)
             elif name == "LR":
-                a.add_control(truth, lehmann_romano_stepdown(pv.values, gamma), gamma)
-            elif name == "flexible-pvals-export":
-                if rep == 0 and out_dir is not None:
-                    path = Path(out_dir) / f"cell{cell_id:03d}_pvalues.csv"
-                    write_pvalues_csv(pv, path)
-                    n_exported += 1
+                _add_control(metrics, truth, lehmann_romano_stepdown(pv.values, gamma), gamma)
+            elif name == "flexible-pvals-export" and rep == 0:
+                if out_dir is not None:
+                    write_pvalues_csv(pv, Path(out_dir) / f"cell{cell_id:03d}_pvalues.csv")
+                metrics["n_exported"].append(float(out_dir is not None))
 
-    rows: list[MetricRow] = []
-    for name in methods:
-        a = acc[name]
-        if name == "flexible-pvals-export":
-            rows.append(
-                MetricRow(cell_id, spec.pi0, spec.rho, spec.d, name, "n_exported", float(n_exported), 0.0)
-            )
-            continue
-        for metric in _METRIC_ORDER:
-            if metric in a.means:
-                value, se = _mean_se(a.means[metric])
-            elif metric in a.events:
-                value, se = _prob_se(a.events[metric])
-            else:
-                continue
-            rows.append(MetricRow(cell_id, spec.pi0, spec.rho, spec.d, name, metric, value, se))
-    return rows
+    return [
+        MetricRow(cell_id, spec.pi0, spec.rho, spec.d, name, metric, *_value_se(samples))
+        for name in methods
+        for metric, samples in values[name].items()
+    ]
 
 
 def run_study(study: StudySpec, out_dir=None, threads: int | None = None) -> MetricTable:

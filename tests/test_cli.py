@@ -176,6 +176,12 @@ class TestEstimate:
         assert code == 2 and out == ""
         assert "--windowed applies to the equivalence estimator only" in err
 
+    def test_seed_without_randomized_exits_2_before_reading(self, capsys, stats_csv, tmp_path):
+        for path in (stats_csv, tmp_path / "nope.csv"):
+            code, out, err = run(capsys, "estimate", str(path), "--seed", "3")
+            assert code == 2 and out == ""
+            assert "--seed applies to --randomized only" in err
+
     def test_windowed_equivalence(self, capsys, tmp_path):
         path = tmp_path / "eq.csv"
         path.write_text("index,statistic\n0,0.2\n1,-0.3\n2,2.6\n3,7.0\n")
@@ -352,6 +358,16 @@ class TestPvalues:
         sv = StatisticVector(np.array([0.0, 2.0]), 0.0, HypothesisShape.DIRECTIONAL)
         expected = directional_pvalues(sv, NullDensitySpec.standard_normal())
         np.testing.assert_array_equal(pv, expected.values)
+
+    def test_csv_with_out_exits_2_before_reading(self, capsys, pair_csv, tmp_path):
+        out_path = tmp_path / "p.csv"
+        for path in (pair_csv, tmp_path / "nope.csv"):
+            code, out, err = run(
+                capsys, "pvalues", str(path), "--delta", "0", "--out", str(out_path), "--csv"
+            )
+            assert code == 2 and out == ""
+            assert "--csv applies to printed p-values only" in err
+        assert not out_path.exists()
 
     def test_alternative_nulls(self, capsys, pair_csv):
         code, out, _ = run(
@@ -615,6 +631,57 @@ class TestExactTest:
 
 
 # --- global behaviour -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, seed, config, config_hash",
+    [
+        (
+            ["estimate", "stats.csv", "--t", "1", "--randomized", "--seed", "7"],
+            7,
+            {"input": "stats.csv", "shape": "directional", "delta": None, "t": 1.0,
+             "statistic": "auto", "randomized": True, "windowed": False},
+            "d5662bf93ca0",
+        ),
+        (
+            ["control", "stats.csv", "--gamma", "0.3", "--delta", "0.5"],
+            None,
+            {"input": "stats.csv", "shape": "directional", "delta": 0.5, "gamma": 0.3,
+             "statistic": "auto"},
+            "bd7bc0607b3c",
+        ),
+        (
+            ["exact-test", "ones.csv", "--test", "sign-flip", "--alpha", "0.25"],
+            None,
+            {"input": "ones.csv", "test": "sign-flip", "alpha": 0.25, "feature": None},
+            "6ccb77fee430",
+        ),
+        (
+            ["verify-ct", "--family", "directional-basic", "--m", "3", "--instances", "2",
+             "--seed", "1"],
+            1,
+            {"family": "directional-basic", "m": 3, "instances": 2},
+            "1fa9224d2e60",
+        ),
+    ],
+    ids=["estimate", "control", "exact-test", "verify-ct"],
+)
+def test_out_document_config_order_and_hash(
+    capsys, tmp_path, monkeypatch, argv, seed, config, config_hash
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stats.csv").write_text(
+        "index,statistic,margin\n0,5.0,0.0\n1,4.0,0.0\n2,3.0,0.0\n3,-3.5,0.0\n"
+    )
+    (tmp_path / "ones.csv").write_text("x\n1.0\n1.0\n1.0\n")
+    code, _, _ = run(capsys, *argv, "--out", "doc.json")
+    assert code == 0
+    payload = json.loads((tmp_path / "doc.json").read_text())
+    assert list(payload) == ["version", "command", "seed", "config_hash", "config", "result"]
+    assert payload["command"] == argv[0]
+    assert payload["seed"] == seed
+    assert list(payload["config"].items()) == list(config.items())
+    assert payload["config_hash"] == config_hash
 
 
 def test_version_flag(capsys):

@@ -292,6 +292,19 @@ class TestNullDensitySpec:
         np.testing.assert_allclose(null.cdf_at(xs), sps.t.cdf(xs, df=5), rtol=1e-12)
         np.testing.assert_allclose(null.sf_at(xs), sps.t.sf(xs, df=5), rtol=1e-12)
 
+    def test_builtin_survival_is_the_mirrored_cdf_exactly(self):
+        from scipy import special as spc
+
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 2001), [0.0, -0.0, np.inf, -np.inf]])
+        np.testing.assert_array_equal(NullDensitySpec.standard_normal().sf_at(xs), spc.ndtr(-xs))
+        np.testing.assert_array_equal(
+            NullDensitySpec.scaled_normal(2.5).sf_at(xs), spc.ndtr(-xs / 2.5)
+        )
+        for nu in (1.0, 3.5, 30.0):
+            np.testing.assert_array_equal(
+                NullDensitySpec.student_t(nu).sf_at(xs), spc.stdtr(nu, -xs)
+            )
+
     def test_user_cdf_route(self):
         null = NullDensitySpec.from_cdf(lambda x: np.clip((x + 1) / 2, 0, 1))  # uniform(-1, 1)
         assert null.cdf_at(0.0) == 0.5

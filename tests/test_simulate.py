@@ -26,7 +26,7 @@ from artifact import (
     run_study,
     sam_bound,
 )
-from artifact.simulate import study_statistics
+from artifact.simulate import STUDY_METHODS, study_statistics
 
 DIR = HypothesisShape.DIRECTIONAL
 EQU = HypothesisShape.EQUIVALENCE
@@ -429,6 +429,47 @@ class TestPvalueExport:
         )
         table = run_study(study, threads=1)
         assert table.get(0, "flexible-pvals-export", "n_exported")[0] == 0.0
+
+
+class TestRowOrder:
+    """The exact (cell, method, metric) row sequence the MetricTable docstring states."""
+
+    METHODS = (
+        "flexible-pvals-export", "LR", "BH", "SAM+CT", "SAM-2", "SAM-full",
+        "novel-randomized", "novel",
+    )
+    METRICS = {
+        "novel": ("mean_fdp_estimate", "mean_fdp_at_t", "p_fdp_le_estimate",
+                  "p_control", "mean_rejections", "power"),
+        "novel-randomized": ("mean_fdp_estimate", "p_fdp_le_estimate", "floor_rate"),
+        "SAM-full": ("mean_fdp_estimate", "p_fdp_le_estimate"),
+        "SAM-2": ("mean_fdp_estimate", "p_fdp_le_estimate"),
+        "SAM+CT": ("mean_ct_bound", "p_v_le_ct_bound"),
+        "BH": ("p_control", "mean_rejections", "power"),
+        "LR": ("p_control", "mean_rejections", "power"),
+        "flexible-pvals-export": ("n_exported",),
+    }
+
+    @pytest.mark.parametrize("with_out_dir", [False, True])
+    def test_every_method_in_documented_order(self, tmp_path, with_out_dir):
+        assert set(self.METHODS) == set(STUDY_METHODS)
+        study = StudySpec(
+            n=6, m=8, pi0=[0.5, 1.0], rho=0.0, d=1.0, methods=self.METHODS,
+            t=0.5, gamma=0.2, replicates=3, seed=8,
+        )
+        table = run_study(study, out_dir=tmp_path if with_out_dir else None)
+        expected = [
+            (cell, method, metric)
+            for cell in (0, 1)
+            for method in self.METHODS
+            for metric in self.METRICS[method]
+            # cell 1 is all-null: no hypothesis is false, so no power row
+            if not (cell == 1 and metric == "power")
+        ]
+        assert [(r.cell_id, r.method, r.metric) for r in table.rows] == expected
+        for cell in (0, 1):
+            exported = table.get(cell, "flexible-pvals-export", "n_exported")
+            assert exported == ((1.0, 0.0) if with_out_dir else (0.0, 0.0))
 
 
 class TestControlCoverage:

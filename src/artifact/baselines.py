@@ -14,7 +14,9 @@ Three families live here:
   statistics, one row per transformation with the identity in row 0.
 * P-value procedures: Benjamini-Hochberg step-up (mean FDP) and the
   Lehmann-Romano step-down (tail FDP) with critical values
-  ``alpha * (floor(gamma*i) + 1) / (m + floor(gamma*i) + 1 - i)``.
+  ``alpha * (floor(gamma*i) + 1) / (m + floor(gamma*i) + 1 - i)``.  Each
+  sorts the p-values once, finds its cut k against the critical values,
+  and rejects {i : p_i <= p_(k)}.
 * Exact single-hypothesis tests by full enumeration of a transformation
   group: one-sample sign flips (all 2^n patterns) and two-group label
   permutations (all C(2n, n) distinct splits).
@@ -285,23 +287,41 @@ def _validated_pvalues(pvalues) -> np.ndarray:
     return p
 
 
+def _at_or_below(p: np.ndarray, s: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices i with p[i] <= s[k - 1], the k-th smallest p-value.
+
+    ``s`` is ``np.sort(p)``; k = 0 rejects nothing.
+    """
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(p <= s[k - 1])
+
+
 def benjamini_hochberg(pvalues, gamma: float) -> np.ndarray:
-    """Benjamini-Hochberg step-up: indices rejected at mean-FDP level gamma."""
+    """Benjamini-Hochberg step-up: indices rejected at mean-FDP level gamma.
+
+    With k the largest i such that p_(i) <= gamma*i/m (0 if none), the
+    rejection set is {i : p_i <= p_(k)}, returned in ascending order.  The
+    critical values gamma*i/m are nondecreasing in i, also in floating
+    point (a rounded product and quotient are monotone), so a p-value tied
+    with p_(k) passes its own critical value as well and a tie cannot
+    straddle the cut: the set equals the first k of a stable sort.
+    """
     p = _validated_pvalues(pvalues)
     gamma = float(gamma)
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     m = p.size
-    order = np.argsort(p, kind="stable")
-    passing = np.flatnonzero(p[order] <= gamma * np.arange(1, m + 1) / m)
-    k = int(passing[-1]) + 1 if passing.size else 0
-    return np.sort(order[:k])
+    s = np.sort(p)
+    passing = s <= gamma * np.arange(1, m + 1) / m
+    k = m - int(np.argmax(passing[::-1])) if passing.any() else 0
+    return _at_or_below(p, s, k)
 
 
 def lehmann_romano_critical_values(m: int, gamma: float, alpha: float = 0.5) -> np.ndarray:
     """Step-down critical values alpha*(floor(gamma*i)+1)/(m+floor(gamma*i)+1-i)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     gamma = float(gamma)
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
@@ -317,15 +337,21 @@ def lehmann_romano_stepdown(pvalues, gamma: float, alpha: float = 0.5) -> np.nda
     """Step-down control of P(FDP > gamma) <= alpha; returns rejected indices.
 
     Walks the sorted p-values against
-    :func:`lehmann_romano_critical_values` and stops at the first failure.
-    For m = 1 and gamma = 0 this reduces to rejecting iff p <= alpha.
+    :func:`lehmann_romano_critical_values` and stops at the first failure:
+    with k the number passing before it, the rejection set is
+    {i : p_i <= p_(k)}, returned in ascending order.  The critical values
+    are nondecreasing in i, also in floating point (each step raises the
+    numerator or lowers the denominator, and the guarded floor, product and
+    quotient are monotone), so a p-value tied with p_(k) passes as well and
+    a tie cannot straddle the first failure.  For m = 1 and gamma = 0 this
+    reduces to rejecting iff p <= alpha.
     """
     p = _validated_pvalues(pvalues)
     crit = lehmann_romano_critical_values(p.size, gamma, alpha)
-    order = np.argsort(p, kind="stable")
-    failing = np.flatnonzero(p[order] > crit)
-    k = int(failing[0]) if failing.size else p.size
-    return np.sort(order[:k])
+    s = np.sort(p)
+    failing = s > crit
+    k = int(np.argmax(failing)) if failing.any() else p.size
+    return _at_or_below(p, s, k)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ Conventions shared by every subcommand:
 Statistic inputs are CSV.  A file whose header is ``index,statistic`` or
 ``index,statistic,margin`` is taken as precomputed statistics; any other
 header is parsed as a raw data matrix (optional ``group`` column with two
-labels), from which statistics are computed per ``--statistic``.  Margins
+labels), from which statistics are computed per ``--statistic``.  That flag
+is for raw data only: passing it with a statistics file exits 2.  Margins
 come from ``--delta`` or from the statistics file's margin column; having
 neither is an error.
 """
@@ -122,6 +123,10 @@ def _load_statistics(args) -> tuple[StatisticVector, tuple[str, ...] | None]:
     shape = HypothesisShape(args.shape)
     path = args.input
     if _is_statistics_file(path):
+        if args.statistic != "auto":
+            raise ValueError(
+                f"{path}: --statistic applies to raw data only, not to a statistics file"
+            )
         statistics, file_margins = read_statistics_csv(path)
         if args.delta is not None:
             margins = args.delta

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import (
     ExactTestResult,
@@ -184,6 +186,96 @@ def test_sam_two_transform_equals_directional_estimator():
 # ---------------------------------------------------------------------------
 
 
+def _bh_literal(p, gamma):
+    """BH as a stable sort: the first k of the sorted order, k the last pass."""
+    p = np.asarray(p, dtype=np.float64)
+    m = p.size
+    order = np.argsort(p, kind="stable")
+    passing = np.flatnonzero(p[order] <= gamma * np.arange(1, m + 1) / m)
+    k = int(passing[-1]) + 1 if passing.size else 0
+    return np.sort(order[:k])
+
+
+def _lr_literal(p, gamma, alpha):
+    """Lehmann-Romano as a stable sort walked to the first failure."""
+    p = np.asarray(p, dtype=np.float64)
+    crit = lehmann_romano_critical_values(p.size, gamma, alpha)
+    order = np.argsort(p, kind="stable")
+    failing = np.flatnonzero(p[order] > crit)
+    k = int(failing[0]) if failing.size else p.size
+    return np.sort(order[:k])
+
+
+_GAMMAS = [0.0, 0.05, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.9]
+
+
+@st.composite
+def _pvalue_instances(draw):
+    m = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        p = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    else:  # tie-heavy: a k/8 grid with exact 0 and 1
+        p = [k / 8 for k in draw(st.lists(st.integers(0, 8), min_size=m, max_size=m))]
+    gamma = draw(st.sampled_from(_GAMMAS) | st.floats(0.0, 0.99))
+    alpha = draw(st.sampled_from([0.05, 0.5]))
+    return np.array(p), gamma, alpha
+
+
+def _assert_same_indices(got, want):
+    assert got.dtype == want.dtype == np.intp
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=_pvalue_instances())
+def test_bh_and_lr_match_the_stable_sort_literals(instance):
+    p, gamma, alpha = instance
+    _assert_same_indices(benjamini_hochberg(p, gamma), _bh_literal(p, gamma))
+    _assert_same_indices(lehmann_romano_stepdown(p, gamma, alpha), _lr_literal(p, gamma, alpha))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [0.25, 0.25, 0.25, 0.25, 0.9],  # all tied at the cut
+        [0.1, 0.25, 0.25, 0.25, 0.6, 0.6],  # a tie at the cut, more above
+        [0.0] * 6,
+        [1.0] * 6,
+        [0.3],
+        [0.0],
+        [1.0],
+        [-0.0, 0.0, 0.5, -0.0],
+        [0.0, -0.0, 1.0],
+    ],
+    ids=["tied-at-cut", "tie-then-above", "all-zero", "all-one", "m1", "m1-zero", "m1-one",
+         "signed-zeros", "zero-before-negative-zero"],
+)
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 1 / 3, 0.5, 0.9])
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_bh_and_lr_edge_cases_match_the_literals(p, gamma, alpha):
+    bh = benjamini_hochberg(p, gamma)
+    lr = lehmann_romano_stepdown(p, gamma, alpha)
+    _assert_same_indices(bh, _bh_literal(p, gamma))
+    _assert_same_indices(lr, _lr_literal(p, gamma, alpha))
+    for rejected in (bh, lr):
+        assert np.all(np.diff(rejected) > 0)
+
+
+def test_bh_and_lr_empty_results_are_intp():
+    for rejected in (benjamini_hochberg([1.0] * 4, 0.1), lehmann_romano_stepdown([1.0] * 4, 0.1),
+                     benjamini_hochberg([0.5], 0.0), lehmann_romano_stepdown([0.9], 0.0)):
+        assert rejected.dtype == np.intp and rejected.shape == (0,)
+
+
+def test_ties_at_the_cut_are_all_rejected():
+    # sorted (0.1, 0.2, 0.2, 0.2, 0.9) against BH's 0.5*i/5 = (0.1, 0.2, 0.3,
+    # 0.4, 0.5): the last pass is i = 4, so every copy of 0.2 goes in
+    p = [0.2, 0.9, 0.2, 0.1, 0.2]
+    np.testing.assert_array_equal(benjamini_hochberg(p, 0.5), [0, 2, 3, 4])
+    # LR at gamma = 0.5, alpha = 0.5: (0.1, 0.2, 0.25, 0.375, 0.5); 0.9 fails
+    np.testing.assert_array_equal(lehmann_romano_stepdown(p, 0.5), [0, 2, 3, 4])
+
+
 class TestBenjaminiHochberg:
     def test_worked_example(self):
         rejected = benjamini_hochberg([0.01, 0.02, 0.5, 0.8], gamma=0.05)
@@ -236,6 +328,14 @@ class TestLehmannRomano:
     def test_critical_values_monotone(self):
         crit = lehmann_romano_critical_values(25, gamma=0.2)
         assert np.all(np.diff(crit) > 0)
+        # the threshold form {i : p_i <= p_(k)} of both procedures needs the
+        # critical values nondecreasing in floating point, ties included
+        for m in (1, 2, 7, 12, 100, 2000):
+            for gamma in _GAMMAS:
+                assert np.all(np.diff(gamma * np.arange(1, m + 1) / m) >= 0)
+                for alpha in (0.05, 0.5, 0.95):
+                    crit = lehmann_romano_critical_values(m, gamma, alpha)
+                    assert np.all(np.diff(crit) >= 0), (m, gamma, alpha)
 
     def test_near_integer_products_snap(self):
         # gamma*i = 0.3*10 evaluates to 2.999...96; the floor must read 3,
@@ -276,6 +376,16 @@ class TestLehmannRomano:
             lehmann_romano_critical_values(0, gamma=0.1)
         with pytest.raises(ValueError, match="alpha"):
             lehmann_romano_critical_values(5, gamma=0.1, alpha=0.0)
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, False, np.True_, "3", None, -1, np.int64(0)])
+    def test_m_must_be_a_positive_integer(self, m):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            lehmann_romano_critical_values(m, gamma=0.2)
+
+    def test_numpy_integer_m_is_accepted(self):
+        np.testing.assert_array_equal(
+            lehmann_romano_critical_values(np.int64(4), 0.5), lehmann_romano_critical_values(4, 0.5)
+        )
 
 
 # ---------------------------------------------------------------------------

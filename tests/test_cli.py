@@ -281,6 +281,33 @@ class TestStatisticsFileInput:
         assert code == 2 and out == ""
         assert "expected header" in err
 
+    @pytest.mark.parametrize("statistic", ["welch", "two-group", "column-mean"])
+    @pytest.mark.parametrize(
+        "command",
+        [["estimate", "--t", "1"], ["control", "--gamma", "0.3"]],
+        ids=["estimate", "control"],
+    )
+    def test_statistic_flag_on_a_statistics_file_exits_2(
+        self, capsys, tmp_path, stats_csv, command, statistic
+    ):
+        # the file's statistics were never computed by --statistic, so the
+        # flag would be ignored and recorded in --out as if it had been used
+        out_path = tmp_path / "run.json"
+        code, out, err = run(
+            capsys, command[0], str(stats_csv), *command[1:], "--delta", "0",
+            "--statistic", statistic, "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert f"{stats_csv}: --statistic applies to raw data only" in err
+        assert not out_path.exists()
+
+    def test_default_statistic_on_a_statistics_file_still_runs(self, capsys, stats_csv):
+        code, out, err = run(
+            capsys, "control", str(stats_csv), "--gamma", "0.4", "--statistic", "auto"
+        )
+        assert code == 0 and err == ""
+        assert "rejected  0 1" in out
+
     @pytest.mark.parametrize(
         "rows, problem",
         [

@@ -257,13 +257,17 @@ def _cmd_control(args) -> int:
 def _parse_null(text: str) -> NullDensitySpec:
     if text == "std-normal":
         return NullDensitySpec.standard_normal()
-    if text.startswith("scaled-normal:"):
-        return NullDensitySpec.scaled_normal(float(text.split(":", 1)[1]))
-    if text.startswith("student-t:"):
-        return NullDensitySpec.student_t(float(text.split(":", 1)[1]))
-    raise ValueError(
-        f"unknown null density {text!r}; use std-normal, scaled-normal:SIGMA, or student-t:NU"
-    )
+    name, colon, param = text.partition(":")
+    family = {"scaled-normal": NullDensitySpec.scaled_normal, "student-t": NullDensitySpec.student_t}
+    if not colon or name not in family:
+        raise ValueError(
+            f"unknown null density {text!r}; use std-normal, scaled-normal:SIGMA, or student-t:NU"
+        )
+    try:
+        value = float(param)
+    except ValueError:
+        raise ValueError(f"--null {text!r}: could not parse {param!r} as a number") from None
+    return family[name](value)
 
 
 def _cmd_pvalues(args) -> int:

@@ -223,10 +223,9 @@ def read_pvalues_csv(path) -> np.ndarray:
     must lie in [0, 1].
     """
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        if _header(reader)[:2] != ["index", "pvalue"]:
+        if _header(csv.reader(fh))[:2] != ["index", "pvalue"]:
             raise ValueError(f"{path}: expected header 'index,pvalue'")
-        rows, lines = _read_indexed_rows(path, reader, ["pvalue"])
+        rows, lines = _read_indexed_rows(path, fh, ["pvalue"])
     pvalues = rows[:, 0].copy()
     outside = np.flatnonzero((pvalues < 0.0) | (pvalues > 1.0))
     if outside.size:

@@ -13,14 +13,29 @@ CSV conventions
   must be 0..m-1, each once, in any order, and every value must be finite;
   a non-finite cell is rejected with its row and column named.
 
-Every reader drops a leading UTF-8 byte-order mark.
+Every reader drops a leading UTF-8 byte-order mark and rejects a byte that
+is not UTF-8, naming the file and the line of the byte.
+
+Reading routes
+--------------
+Every reader parses its header with :mod:`csv` and hands the rest of the
+file to numpy's C parser (``np.loadtxt``).  That route keeps a result only
+when the per-cell loop would return the same arrays bit for bit: a body of
+plain ASCII lines with no quote, no U+001C..U+001F and no empty line, every
+value finite, every raw-data row as wide as the header with two group
+labels, and statistic or p-value indices 0..m-1 once each.  Any other file
+is read again from the top by the per-cell loop, so every error message
+comes from that literal route.
 
 Indices are 0-based everywhere.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,9 +57,45 @@ __all__ = [
 
 GROUP_COLUMN = "group"
 
+# A body goes to the C parser only when it is ASCII with none of these
+# characters: numpy's int64 parser reads some non-ASCII characters as digits
+# of a wrong number, csv joins a quoted cell across commas and lines where
+# numpy does not, and numpy strips U+001C..U+001F as whitespace where
+# ``int`` and ``float`` reject them.
+_NOT_PLAIN = '"\x1c\x1d\x1e\x1f'
+# numpy skips an empty line without counting it, which would shift the row
+# numbers the p-value range check reports.
+_EMPTY_LINES = ("\n", "\r\n", "\r")
+_BLOCK_CHARS = 1 << 16
 
+
+@contextlib.contextmanager
 def _open_csv(path):
-    return open(path, newline="", encoding="utf-8-sig")
+    """``path`` opened for csv reading, with a leading byte-order mark dropped.
+
+    A byte that is not UTF-8 raises ValueError naming the file and its line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> ValueError:
+    """The error for the first byte of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as first:
+        # The appended byte makes the bad byte's line count when it starts one.
+        line = len((data[: first.start] + b".").splitlines())
+        return ValueError(
+            f"{path}: line {line}: cannot decode byte 0x{data[first.start]:02x} "
+            f"as UTF-8 ({first.reason})"
+        )
+    return ValueError(f"{path}: {exc}")
 
 
 def _header(reader) -> list[str]:
@@ -58,19 +109,83 @@ def _is_statistics_file(path) -> bool:
         return _header(csv.reader(fh))[:2] == ["index", "statistic"]
 
 
-def _read_indexed_rows(path, reader, columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``index,<columns>`` float rows left in ``reader``, ordered by index.
+def _plain_blocks(fh):
+    """The lines left in ``fh``, a list per block of about 64k characters.
 
+    Raises ValueError at the first block that is not plain (see
+    ``_NOT_PLAIN``) or that holds an empty line.
+    """
+    for lines in iter(functools.partial(fh.readlines, _BLOCK_CHARS), []):
+        block = "".join(lines)
+        if (
+            not block.isascii()
+            or any(c in block for c in _NOT_PLAIN)
+            or any(e in lines for e in _EMPTY_LINES)
+        ):
+            raise ValueError("not a plain block")
+        yield lines
+
+
+def _loadtxt_plain(fh, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt`` on the plain lines left in ``fh``, or None.
+
+    None when the C parser or ``_plain_blocks`` rejects the text, and when
+    nothing is left (loadtxt would warn about an empty input).
+    """
+    blocks = _plain_blocks(fh)
+    try:
+        first = next(blocks, None)
+        if first is None:
+            return None
+        lines = itertools.chain(first, itertools.chain.from_iterable(blocks))
+        return np.loadtxt(lines, delimiter=",", comments=None, **kwargs)
+    except ValueError:
+        return None
+
+
+def _restart(fh):
+    """A csv reader over ``fh`` rewound to just after its one-record header."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    return reader
+
+
+def _indexed_rows_fast(fh, n_values: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_read_indexed_rows`` by the C parser, or None where it would differ."""
+    dtype = np.dtype([("index", np.int64), ("values", np.float64, (n_values,))])
+    rows = _loadtxt_plain(fh, dtype=dtype, usecols=range(n_values + 1), ndmin=1)
+    if rows is None:
+        return None
+    index, table = rows["index"], rows["values"]
+    m = index.size
+    if not np.isfinite(table).all() or np.any((index < 0) | (index >= m)):
+        return None
+    order = np.full(m, -1, dtype=np.intp)
+    order[index] = np.arange(m)
+    if np.any(order < 0):
+        return None
+    # Body row k is csv record (and file line) k + 2: no quote, no empty line.
+    return table[order], order + 2
+
+
+def _read_indexed_rows(path, fh, columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``index,<columns>`` float rows left in ``fh``, ordered by index.
+
+    ``fh`` is an ``_open_csv`` file whose one-record header has been read.
     Returns the (m, len(columns)) values and the line number of each row,
     both in index order.  Blank lines are skipped.  Every value must be
     finite and the indices must be 0..m-1, each once: a non-finite cell, an
     out-of-range or repeated index raises, naming the row.
     """
     n_values = len(columns)
+    fast = _indexed_rows_fast(fh, n_values)
+    if fast is not None:
+        return fast
     lines: list[int] = []
     indices: list[int] = []
     values: list[float] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(_restart(fh), start=2):
         if not "".join(row).strip():
             continue
         try:
@@ -161,11 +276,75 @@ class DataMatrix:
         return np.flatnonzero(self.group == first), np.flatnonzero(self.group == second)
 
 
+def _data_rows_fast(fh, n_cells: int, group_idx: int | None):
+    """``_data_rows`` by the C parser, or None where it would differ."""
+    codes: dict[str, int] = {}
+    converters = None
+    if group_idx is not None:
+        # The group cell parses to the code of its stripped label.
+        converters = {group_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
+    table = _loadtxt_plain(fh, ndmin=2, converters=converters)
+    if table is None or table.shape[1] != n_cells:
+        return None
+    groups = None
+    if group_idx is not None:
+        if len(codes) != 2:
+            return None
+        groups = np.asarray(list(codes))[table[:, group_idx].astype(np.intp)]
+        table = np.delete(table, group_idx, axis=1)
+    if not np.isfinite(table).all():
+        return None
+    return table, groups
+
+
+def _data_rows(
+    path, reader, header: list[str], feature_cols: list[int], group_idx: int | None
+):
+    """The values and group labels of the raw-data rows left in ``reader``."""
+    rows: list[list[float]] = []
+    groups: list[str] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
+            )
+        parsed = []
+        for k in feature_cols:
+            cell = row[k].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {lineno}, column '{header[k]}': "
+                    f"could not parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: row {lineno}, column '{header[k]}': non-finite value {cell!r}"
+                )
+            parsed.append(value)
+        rows.append(parsed)
+        if group_idx is not None:
+            groups.append(row[group_idx].strip())
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    if group_idx is None:
+        return np.asarray(rows, dtype=np.float64), None
+    labels = list(dict.fromkeys(groups))
+    if len(labels) != 2:
+        raise ValueError(
+            f"{path}: group column '{header[group_idx]}' must hold exactly two distinct "
+            f"labels, found {len(labels)}: {labels[:5]!r}"
+        )
+    return np.asarray(rows, dtype=np.float64), np.asarray(groups)
+
+
 def read_data_csv(path) -> DataMatrix:
     """Read a raw data CSV (header row, optional ``group`` column)."""
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header:
             raise ValueError(f"{path}: empty file (a header row is required)")
         header = [h.strip() for h in header]
@@ -179,46 +358,14 @@ def read_data_csv(path) -> DataMatrix:
         feature_cols = [k for k in range(len(header)) if k != group_idx]
         if not feature_cols:
             raise ValueError(f"{path}: no numeric feature columns")
-        rows: list[list[float]] = []
-        groups: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
-                )
-            parsed = []
-            for k in feature_cols:
-                cell = row[k].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column '{header[k]}': "
-                        f"could not parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {lineno}, column '{header[k]}': non-finite value {cell!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-            if group_idx is not None:
-                groups.append(row[group_idx].strip())
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-    if group_idx is not None:
-        labels = list(dict.fromkeys(groups))
-        if len(labels) != 2:
-            raise ValueError(
-                f"{path}: group column '{header[group_idx]}' must hold exactly two distinct "
-                f"labels, found {len(labels)}: {labels[:5]!r}"
-            )
+        parsed = _data_rows_fast(fh, len(header), group_idx)
+        if parsed is None:
+            parsed = _data_rows(path, _restart(fh), header, feature_cols, group_idx)
+    values, group = parsed
     return DataMatrix(
-        values=np.asarray(rows, dtype=np.float64),
+        values=values,
         feature_names=tuple(header[k] for k in feature_cols),
-        group=np.asarray(groups) if group_idx is not None else None,
+        group=group,
     )
 
 
@@ -229,14 +376,13 @@ def read_statistics_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     None when the file has no margin column.
     """
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = _header(reader)
+        header = _header(csv.reader(fh))
         if header[:2] != ["index", "statistic"] or header[2:3] not in ([], ["margin"]):
             raise ValueError(
                 f"{path}: expected header 'index,statistic[,margin]', got {header!r}"
             )
         has_margin = len(header) > 2
-        rows, _ = _read_indexed_rows(path, reader, header[1:3])
+        rows, _ = _read_indexed_rows(path, fh, header[1:3])
     return rows[:, 0].copy(), rows[:, 1].copy() if has_margin else None
 
 

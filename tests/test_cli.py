@@ -226,6 +226,18 @@ class TestControl:
         assert code == 2 and out == ""
         assert f"{path}: row 3, column 'statistic': non-finite value {value}" in err
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"index,statistic\n0,5.0\n1,6\xff\n", 3), (b"group,f\xff\na,1\nb,2\n", 1)],
+        ids=["statistics-row", "data-header"],
+    )
+    def test_undecodable_byte_exits_2_naming_file_and_line(self, capsys, tmp_path, data, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "control", str(path), "--gamma", "0.1", "--delta", "0")
+        assert code == 2 and out == ""
+        assert f"{path}: line {line}: cannot decode byte 0xff as UTF-8" in err
+
     def test_json_document(self, capsys, stats_csv, tmp_path):
         out_path = tmp_path / "ctl.json"
         code, _, _ = run(
@@ -414,6 +426,13 @@ class TestPvalues:
         )
         assert code == 2
         assert "unknown null density" in err
+
+    @pytest.mark.parametrize("null", ["student-t:abc", "scaled-normal:", "student-t:1,5"])
+    def test_unparsable_null_parameter_names_the_flag(self, capsys, pair_csv, null):
+        code, out, err = run(capsys, "pvalues", str(pair_csv), "--delta", "0", "--null", null)
+        assert code == 2 and out == ""
+        param = null.partition(":")[2]
+        assert f"--null '{null}': could not parse '{param}' as a number" in err
 
     def test_equivalence_shape(self, capsys, pair_csv):
         code, out, _ = run(

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from artifact import stats
 from artifact import (
     DataMatrix,
     HypothesisShape,
@@ -13,6 +19,7 @@ from artifact import (
     column_mean_statistics,
     estimate_directional,
     read_data_csv,
+    read_pvalues_csv,
     read_statistics_csv,
     two_group_statistics,
     welch_t_statistics,
@@ -217,6 +224,152 @@ class TestStatisticsCsv:
         path.write_text("index,statistic\nzero,1.0\n")
         with pytest.raises(ValueError, match="malformed row 2"):
             read_statistics_csv(path)
+
+
+READERS = {"data": read_data_csv, "statistics": read_statistics_csv, "pvalues": read_pvalues_csv}
+
+
+def _outcome(read, path):
+    """What ``read`` makes of ``path``: its arrays as raw bytes, or its error message."""
+    try:
+        result = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(result, DataMatrix):
+        group = None if result.group is None else (result.group.dtype.str, result.group.tolist())
+        return result.values.shape, result.values.tobytes(), result.feature_names, group
+    arrays = result if isinstance(result, tuple) else (result,)
+    return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+def _routes(read, path):
+    """``read``'s outcome on ``path``, whether it kept the C parser's rows, and the cell loop's outcome.
+
+    The reader rewinds the file for the per-cell loop only when the C parser's
+    route declines, so no rewind means the C parser's rows stood.
+    """
+    rewinds = []
+    restart = stats._restart
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_restart", lambda fh: rewinds.append(fh) or restart(fh))
+        outcome = _outcome(read, path)
+        mp.setattr(stats, "_loadtxt_plain", lambda fh, **kwargs: None)
+        return outcome, not rewinds, _outcome(read, path)
+
+
+def _indexed(column, index_text=None, rows=11):
+    """An ``index,<column>`` file of ``rows`` rows; ``index_text`` rewrites some indices."""
+    index_text = index_text or {}
+    body = "".join(f"{index_text.get(j, j)},{(j + 1) / 16}\n" for j in range(rows))
+    return f"index,{column}\n{body}"
+
+
+ROUTE_CASES = [
+    pytest.param("data", "x,group\n1_0,a\n2,b\n", "literal", id="data-underscore-digits"),
+    pytest.param("data", "x,group\n１２,a\n2,b\n", "literal", id="data-full-width-digits"),
+    pytest.param("data", "x,y,group\n 1.5 ,+1.5,a\n-0.0,2,b\n", "fast", id="data-padding-plus-negative-zero"),
+    pytest.param("data", "x,group\ninf,a\n2,b\n", "literal", id="data-inf"),
+    pytest.param("data", "x,group\n1,a\n-Infinity,b\n", "literal", id="data-minus-infinity"),
+    pytest.param("data", "x,group\nnan,a\n2,b\n", "literal", id="data-nan"),
+    pytest.param("data", "x,group\n1e400,a\n2,b\n", "literal", id="data-overflow"),
+    pytest.param("data", 'x,group\n"1.5",a\n2,b\n', "literal", id="data-quoted-number"),
+    pytest.param("data", 'x,group\n1.5,"a"\n2,b\n', "literal", id="data-quoted-group"),
+    pytest.param("data", 'x,group\n1.5,"a,1"\n2,b\n', "literal", id="data-quoted-group-with-comma"),
+    pytest.param("data", "x,group\n1.5, a \n2,b\t\n", "fast", id="data-padded-groups"),
+    pytest.param("data", "x,group\n#,a\n2,b\n", "literal", id="data-hash-cell"),
+    pytest.param("data", "x,group\n1,#a\n2,b\n", "fast", id="data-hash-group"),
+    pytest.param("data", "x,group\n1,a\n\n2,b\n", "literal", id="data-blank-row"),
+    pytest.param("data", "x,group\n1,a\n,\n2,b\n", "literal", id="data-all-comma-row"),
+    pytest.param("data", "x,group\r\n1,a\r\n2,b\r\n", "fast", id="data-crlf"),
+    pytest.param("data", "\ufeffx,group\n1,a\n2,b\n", "fast", id="data-bom"),
+    pytest.param("data", "\ufeffx,group\n1,a\n2,b\n\n", "literal", id="data-bom-and-blank-row"),
+    pytest.param("data", "Group,x,y\na,1,2\nb,3,4\n", "fast", id="data-group-first"),
+    pytest.param("data", "x,GROUP,y\n1,a,2\n3,b,4\n", "fast", id="data-group-middle"),
+    pytest.param("data", "x,y\n1,2\n3,4\n", "fast", id="data-no-group"),
+    pytest.param("data", "x,y\n1,2,3\n4,5,6\n", "literal", id="data-three-cells-under-two"),
+    pytest.param("data", "x,group\n1,a\n2,b\n3,c\n", "literal", id="data-three-labels"),
+    pytest.param("data", "x,group\n\x1c1.5,a\n2,b\n", "literal", id="data-file-separator"),
+    pytest.param("data", "x,group\n1.5,café\n2,b\n", "literal", id="data-non-ascii-group"),
+    pytest.param("statistics", _indexed("statistic", {3: "03"}), "fast", id="statistics-index-leading-zero"),
+    pytest.param("statistics", _indexed("statistic", {3: "+3"}), "fast", id="statistics-index-plus"),
+    pytest.param("statistics", _indexed("statistic", {3: "3.0"}), "literal", id="statistics-index-float"),
+    pytest.param("statistics", _indexed("statistic", {10: "1_0"}), "literal", id="statistics-index-underscore"),
+    pytest.param("statistics", _indexed("statistic", {2: "२"}), "literal", id="statistics-index-devanagari"),
+    pytest.param("statistics", _indexed("statistic", {3: "\x1c3"}), "literal", id="statistics-index-file-separator"),
+    pytest.param("statistics", _indexed("statistic", {3: "2"}), "literal", id="statistics-index-repeated"),
+    pytest.param("statistics", _indexed("statistic", {3: "11"}), "literal", id="statistics-index-out-of-range"),
+    pytest.param(
+        "statistics", "index,statistic,margin,note\n1,2.5,0.2,x\n0,1.5,0.1,y,z\n", "fast", id="statistics-extra-columns"
+    ),
+    pytest.param("statistics", "Index,Statistic\r\n1,2.5\r\n0,1.5\r\n", "fast", id="statistics-crlf"),
+    pytest.param(
+        "statistics", 'index,statistic,margin,note\n0,1.5,0.1,"x\n1,2.5,0.2,"\n', "literal", id="statistics-quoted-note-over-lines"
+    ),
+    pytest.param("pvalues", _indexed("pvalue", {3: "03", 4: "+4"}), "fast", id="pvalues-index-forms"),
+    pytest.param("pvalues", _indexed("pvalue", {3: "3.0"}), "literal", id="pvalues-index-float"),
+    pytest.param("pvalues", _indexed("pvalue", {10: "1_0"}), "literal", id="pvalues-index-underscore"),
+    pytest.param("pvalues", "index,pvalue,x\n1,0.5,y\n0,0.25\n", "fast", id="pvalues-ragged-extra-columns"),
+    pytest.param("pvalues", "index,pvalue\n2,0.5\n0,-0.25\n1,1.5\n", "fast", id="pvalues-outside-unit"),
+    pytest.param("pvalues", "index,pvalue\n0,0.5\n\n\n1,1.5\n", "literal", id="pvalues-blank-lines-then-outside"),
+    pytest.param("pvalues", "index,pvalue\n0,0.5\n \n1,1.5\n", "literal", id="pvalues-space-line-then-outside"),
+]
+
+
+@pytest.mark.parametrize("kind, text, route", ROUTE_CASES)
+def test_c_parser_route_matches_the_cell_loop(tmp_path, kind, text, route):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcome, kept_c_rows, literal = _routes(READERS[kind], path)
+    assert outcome == literal
+    assert kept_c_rows == (route == "fast")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.integers(2, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+            min_size=2,
+            max_size=6,
+        )
+    ),
+    group_at=st.none() | st.integers(0, 6),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_written_matrices_read_alike_on_both_routes(values, group_at, newline):
+    matrix = np.asarray(values, dtype=np.float64)
+    names = [f"f{j}" for j in range(matrix.shape[1])]
+    cells = [[format(v, ".17g") for v in row] for row in matrix]
+    if group_at is not None:
+        group_at = min(group_at, len(names))
+        names.insert(group_at, "group")
+        for i, row in enumerate(cells):
+            row.insert(group_at, f" g{i % 2} ")
+    text = newline.join(",".join(row) for row in [names, *cells]) + newline
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome, kept_c_rows, literal = _routes(read_data_csv, path)
+    assert kept_c_rows
+    assert outcome == literal
+    assert outcome[1] == matrix.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, data, line",
+    [
+        ("data", b"x,group\n1,a\n2,b\xff\n", 3),
+        ("data", b"x,gr\xffoup\n1,a\n2,b\n", 1),
+        ("statistics", b"index,statistic\n" + b"".join(b"%d,0.5\n" % j for j in range(3000)) + b"\xff", 3002),
+        ("pvalues", b"\xef\xbb\xbfindex,pvalue\r\n0,0.5\r\n\xe91,0.5\r\n", 3),
+    ],
+    ids=["data-row", "data-header", "statistics-past-first-chunk", "pvalues-bom-crlf"],
+)
+def test_undecodable_byte_names_file_and_line(tmp_path, kind, data, line):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"in\.csv: line {line}: cannot decode byte 0x(ff|e9) as UTF-8"):
+        READERS[kind](path)
 
 
 class TestStatisticFunctions:

@@ -4,7 +4,8 @@ Conventions shared by every subcommand:
 
 * exit codes -- 0 on success, 2 on malformed input or bad configuration,
   3 when a request is valid but computationally infeasible;
-* results print as an aligned two-column table (or CSV with ``--csv``),
+* results print as an aligned two-column table (or CSV with ``--csv``; a
+  drawn seed and the ``wrote`` note then go to stderr),
   and ``--out`` additionally writes a JSON document embedding the package
   version, the seed in effect, and a hash of the effective configuration;
 * every source of randomness funnels through ``--seed``; commands that
@@ -23,6 +24,7 @@ neither is an error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -39,7 +41,6 @@ from .control import (
     control_mfdp,
     directional_pvalues,
     equivalence_pvalues,
-    write_pvalues_csv,
 )
 from .core import FdpEstimate, HypothesisShape, InfeasibleError, StatisticVector
 from .ct_oracle import COUNT_FAMILIES, verify_random_instances
@@ -53,11 +54,13 @@ from .estimators import (
 from .simulate import StudySpec, run_study
 from .stats import (
     _is_statistics_file,
+    _write_indexed,
     column_mean_statistics,
     read_data_csv,
     read_statistics_csv,
     two_group_statistics,
     welch_t_statistics,
+    write_pvalues_csv,
 )
 
 
@@ -68,9 +71,7 @@ def _config_hash(config: dict) -> str:
 
 def _print_table(pairs: list[tuple[str, str]], csv_mode: bool) -> None:
     if csv_mode:
-        print("field,value")
-        for key, value in pairs:
-            print(f"{key},{value}")
+        csv.writer(sys.stdout, lineterminator="\n").writerows([("field", "value"), *pairs])
         return
     width = max(len(key) for key, _ in pairs)
     for key, value in pairs:
@@ -107,10 +108,11 @@ def _report(args, seed, pairs: list[tuple[str, str]], result: dict, *config_keys
 
 
 def _ensure_seed(args) -> int:
-    """The seed in effect; drawn and printed when the user gave none."""
+    """The seed in effect; drawn and printed (to stderr under ``--csv``) when none was given."""
     if args.seed is None:
         args.seed = secrets.randbits(32)
-        print(f"seed: {args.seed}")
+        stream = sys.stderr if getattr(args, "csv", False) else sys.stdout
+        print(f"seed: {args.seed}", file=stream)
     return args.seed
 
 
@@ -284,9 +286,7 @@ def _cmd_pvalues(args) -> int:
         print(f"wrote {pv.values.size} p-values to {args.out}")
     else:
         if args.csv:
-            print("index,pvalue")
-            for j, p in enumerate(pv.values):
-                print(f"{j},{p:.17g}")
+            _write_indexed(sys.stdout, {"pvalue": pv.values}, "\n")
         else:
             width = max(5, len(str(pv.values.size - 1)))
             print(f"{'index':<{width}}  pvalue")
@@ -328,7 +328,8 @@ def _cmd_simulate(args) -> int:
         with open(out / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-        print(f"wrote {out / 'metrics.csv'} and {out / 'summary.json'}")
+        note = sys.stderr if args.csv else sys.stdout
+        print(f"wrote {out / 'metrics.csv'} and {out / 'summary.json'}", file=note)
     return 0
 
 
@@ -422,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte Carlo study from a JSON spec")
     p.add_argument("--spec", required=True, help="study spec JSON file")
     p.add_argument("--out-dir", default=None, help="directory for metrics.csv and summary.json")
-    p.add_argument("--threads", type=int, default=None, help="accepted and ignored; cells run in order")
     p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of an aligned table")
     p.set_defaults(fn=_cmd_simulate)

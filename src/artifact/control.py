@@ -16,12 +16,13 @@ p-value that is uniform at the boundary of its null and stochastically
 larger inside it, given a model for the null density of ``T_j - mu_j``
 (symmetric around zero).  They exist so the rejection counts can feed
 mean-FDP style procedures that consume p-values; building any particular
-bound from them is out of scope here.
+bound from them is out of scope here.  Their ``index,pvalue`` file format
+lives in :mod:`artifact.stats`; ``read_pvalues_csv`` and
+``write_pvalues_csv`` are re-exported here.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +30,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ControlResult, HypothesisShape, StatisticVector, build_profile
-from .stats import _header, _open_csv, _read_indexed_rows
+from .stats import read_pvalues_csv, write_pvalues_csv
 
 __all__ = [
     "control_mfdp",
@@ -205,30 +206,3 @@ def equivalence_pvalues(sv: StatisticVector, null: NullDensitySpec) -> PValueVec
     p[neg] = null.sf_at(sv.statistics[neg] + sv.margins[neg])
     p[~neg] = null.cdf_at(sv.statistics[~neg] - sv.margins[~neg])
     return PValueVector(values=np.clip(p, 0.0, 1.0), shape=sv.shape)
-
-
-def write_pvalues_csv(pv: PValueVector, path) -> None:
-    """Write ``index,pvalue`` rows at full (17 significant digit) precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "pvalue"])
-        for i, value in enumerate(pv.values):
-            writer.writerow([i, format(value, ".17g")])
-
-
-def read_pvalues_csv(path) -> np.ndarray:
-    """Read a p-value CSV written by :func:`write_pvalues_csv`.
-
-    The indices must be 0..m-1, each once, in any order, and every p-value
-    must lie in [0, 1].
-    """
-    with _open_csv(path) as fh:
-        if _header(csv.reader(fh))[:2] != ["index", "pvalue"]:
-            raise ValueError(f"{path}: expected header 'index,pvalue'")
-        rows, lines = _read_indexed_rows(path, fh, ["pvalue"])
-    pvalues = rows[:, 0].copy()
-    outside = np.flatnonzero((pvalues < 0.0) | (pvalues > 1.0))
-    if outside.size:
-        k = outside[np.argmin(lines[outside])]
-        raise ValueError(f"{path}: row {lines[k]}: p-value {pvalues[k]:.17g} is outside [0, 1]")
-    return pvalues

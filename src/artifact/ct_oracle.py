@@ -375,20 +375,8 @@ def verify_random_instances(kind: str, n_instances: int, max_m: int, seed: int) 
     subsets_checked = 0
     for _ in range(n_instances):
         sv, t = _random_instance(kind, max_m, rng)
-        if kind == "directional-randomized":
-            for b in (0, 1):
-                family = LocalTestFamily.directional_randomized(sv, t, b)
-                report = verify_shortcut(family, sv, t)
-                mismatches += report["mismatches"]
-                subsets_checked += report["subsets_checked"]
-        else:
-            if kind == "directional-basic":
-                family = LocalTestFamily.directional_basic(sv, t)
-            elif kind == "equivalence-basic":
-                family = LocalTestFamily.equivalence_basic(sv, t)
-            else:
-                family = LocalTestFamily.equivalence_windowed(sv, t)
-            report = verify_shortcut(family, sv, t)
+        for b in (0, 1) if kind == "directional-randomized" else (None,):
+            report = verify_shortcut(LocalTestFamily._from_counts(kind, sv, t, b), sv, t)
             mismatches += report["mismatches"]
             subsets_checked += report["subsets_checked"]
     return {

@@ -8,10 +8,12 @@ CSV conventions
   blank or non-numeric cells are rejected at ingestion with the offending
   row/column named, and so is a column name that appears twice.
 * Statistic files: header ``index,statistic[,margin]`` (any case; later
-  columns are ignored), one row per hypothesis, written at 17 significant
-  digits so a written file re-reads to bit-identical values.  The indices
+  columns are ignored), one row per hypothesis.  The indices
   must be 0..m-1, each once, in any order, and every value must be finite;
   a non-finite cell is rejected with its row and column named.
+* P-value files: header ``index,pvalue``, rows as in a statistics file,
+  and every p-value in [0, 1].  Both formats are written at 17 significant
+  digits, so a written file re-reads to bit-identical values.
 
 Every reader drops a leading UTF-8 byte-order mark and rejects a byte that
 is not UTF-8, naming the file and the line of the byte.
@@ -49,6 +51,8 @@ __all__ = [
     "read_data_csv",
     "read_statistics_csv",
     "write_statistics_csv",
+    "read_pvalues_csv",
+    "write_pvalues_csv",
     "column_mean_statistics",
     "two_group_statistics",
     "welch_t_statistics",
@@ -106,7 +110,8 @@ def _header(reader) -> list[str]:
 def _is_statistics_file(path) -> bool:
     """Whether the header starts ``index,statistic``; the reader checks the rest."""
     with _open_csv(path) as fh:
-        return _header(csv.reader(fh))[:2] == ["index", "statistic"]
+        first = next(csv.reader(fh), [])[:2]
+    return [h.strip().lower() for h in first] == ["index", "statistic"]
 
 
 def _plain_blocks(fh):
@@ -386,15 +391,45 @@ def read_statistics_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     return rows[:, 0].copy(), rows[:, 1].copy() if has_margin else None
 
 
+def read_pvalues_csv(path) -> np.ndarray:
+    """Read a p-value CSV written by :func:`write_pvalues_csv`.
+
+    The indices must be 0..m-1, each once, in any order, and every p-value
+    must lie in [0, 1].
+    """
+    with _open_csv(path) as fh:
+        if _header(csv.reader(fh))[:2] != ["index", "pvalue"]:
+            raise ValueError(f"{path}: expected header 'index,pvalue'")
+        rows, lines = _read_indexed_rows(path, fh, ["pvalue"])
+    pvalues = rows[:, 0].copy()
+    outside = np.flatnonzero((pvalues < 0.0) | (pvalues > 1.0))
+    if outside.size:
+        k = outside[np.argmin(lines[outside])]
+        raise ValueError(f"{path}: row {lines[k]}: p-value {pvalues[k]:.17g} is outside [0, 1]")
+    return pvalues
+
+
+def _write_indexed(fh, columns: dict[str, np.ndarray], newline: str) -> None:
+    """Stream an ``index,<names>`` table to ``fh``, values at 17 significant digits.
+
+    ``newline`` ends every line: CRLF in files, as :mod:`csv` writes them,
+    and LF on stdout, as ``print`` does.
+    """
+    fh.write(",".join(["index", *columns]) + newline)
+    row = "%d" + ",%.17g" * len(columns) + newline
+    fh.writelines(row % cells for cells in zip(itertools.count(), *columns.values()))
+
+
 def write_statistics_csv(sv: StatisticVector, path) -> None:
     """Write ``index,statistic,margin`` rows at 17 significant digits."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "statistic", "margin"])
-        for i in range(sv.m):
-            writer.writerow(
-                [i, format(sv.statistics[i], ".17g"), format(sv.margins[i], ".17g")]
-            )
+        _write_indexed(fh, {"statistic": sv.statistics, "margin": sv.margins}, "\r\n")
+
+
+def write_pvalues_csv(pv, path) -> None:
+    """Write a ``PValueVector`` as ``index,pvalue`` rows at 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        _write_indexed(fh, {"pvalue": pv.values}, "\r\n")
 
 
 def column_mean_statistics(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -161,6 +163,15 @@ class TestEstimate:
         first = out.splitlines()[0]
         assert first.startswith("seed: ")
         int(first.removeprefix("seed: "))
+
+    def test_csv_randomized_without_seed_keeps_stdout_csv(self, capsys, stats_csv):
+        code, out, err = run(capsys, "estimate", str(stats_csv), "--randomized", "--csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["field", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert err.startswith("seed: ")
+        int(err.strip().removeprefix("seed: "))
 
     def test_randomized_rejects_equivalence(self, capsys, stats_csv):
         code, _, err = run(
@@ -492,9 +503,25 @@ class TestSimulate:
         a = tmp_path / "a"
         b = tmp_path / "b"
         a.mkdir(), b.mkdir()
-        run(capsys, "simulate", "--spec", str(spec_path), "--out-dir", str(a), "--threads", "1")
-        run(capsys, "simulate", "--spec", str(spec_path), "--out-dir", str(b), "--threads", "2")
+        run(capsys, "simulate", "--spec", str(spec_path), "--out-dir", str(a))
+        run(capsys, "simulate", "--spec", str(spec_path), "--out-dir", str(b))
         assert (a / "metrics.csv").read_text() == (b / "metrics.csv").read_text()
+
+    def test_threads_flag_is_gone(self, capsys, spec_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--spec", str(spec_path), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_csv_mode_with_out_dir_keeps_stdout_csv(self, capsys, spec_path, tmp_path):
+        code, out, err = run(
+            capsys, "simulate", "--spec", str(spec_path), "--out-dir", str(tmp_path), "--csv"
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["cell_id", "pi0", "rho", "d", "method", "metric", "value", "se"]
+        assert all(len(row) == 8 for row in rows)
+        assert err.startswith("wrote ")
 
     def test_seed_override(self, capsys, spec_path, tmp_path):
         out_dir = tmp_path / "o"
@@ -619,6 +646,17 @@ class TestExactTest:
         lines = out.strip().splitlines()
         assert lines[0] == "field,value"
         assert "reject,true" in lines
+
+    def test_csv_mode_quotes_a_feature_name_with_a_comma(self, capsys, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('"x,1",y\n1.0,2.0\n1.0,2.0\n1.0,2.0\n')
+        code, out, _ = run(
+            capsys, "exact-test", str(path), "--test", "sign-flip", "--alpha", "0.25", "--csv"
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert ["feature", "x,1"] in rows
+        assert all(len(row) == 2 for row in rows)
 
     def test_permutation(self, capsys, tmp_path):
         path = tmp_path / "perm.csv"

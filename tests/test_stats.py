@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -10,21 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import artifact.control
 from artifact import stats
 from artifact import (
     DataMatrix,
     HypothesisShape,
+    NullDensitySpec,
+    PValueVector,
     StatisticVector,
     apply_margin_shift,
     column_mean_statistics,
+    directional_pvalues,
     estimate_directional,
     read_data_csv,
     read_pvalues_csv,
     read_statistics_csv,
     two_group_statistics,
     welch_t_statistics,
+    write_pvalues_csv,
     write_statistics_csv,
 )
+from artifact.cli import main
 
 DIR = HypothesisShape.DIRECTIONAL
 EQU = HypothesisShape.EQUIVALENCE
@@ -370,6 +379,93 @@ def test_undecodable_byte_names_file_and_line(tmp_path, kind, data, line):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=rf"in\.csv: line {line}: cannot decode byte 0x(ff|e9) as UTF-8"):
         READERS[kind](path)
+
+
+# The per-row csv.writer bodies that every index,<values> writer must match
+# byte for byte, kept literally as the reference.
+
+
+def _reference_statistics_csv(sv, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "statistic", "margin"])
+        for i in range(sv.m):
+            writer.writerow(
+                [i, format(sv.statistics[i], ".17g"), format(sv.margins[i], ".17g")]
+            )
+
+
+def _reference_pvalues_csv(pv, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "pvalue"])
+        for i, value in enumerate(pv.values):
+            writer.writerow([i, format(value, ".17g")])
+
+
+def _reference_pvalues_stdout(pv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print("index,pvalue")
+        for j, p in enumerate(pv.values):
+            print(f"{j},{p:.17g}")
+    return out.getvalue()
+
+
+def _assert_writers_match_reference(values, tmp):
+    """Every writer gives the reference bytes, and every file reads back bit for bit."""
+    values = np.asarray(values, dtype=np.float64)
+    sv = StatisticVector(values, values[::-1], DIR)
+    written, reference = tmp / "written.csv", tmp / "reference.csv"
+    write_statistics_csv(sv, written)
+    _reference_statistics_csv(sv, reference)
+    assert written.read_bytes() == reference.read_bytes()
+    statistics, margins = read_statistics_csv(written)
+    assert statistics.tobytes() == sv.statistics.tobytes()
+    assert margins.tobytes() == sv.margins.tobytes()
+
+    with np.errstate(over="ignore"):
+        printed = directional_pvalues(sv, NullDensitySpec.standard_normal())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["pvalues", str(written), "--csv"]) == 0
+    assert out.getvalue() == _reference_pvalues_stdout(printed)
+
+    probabilities = values[(values >= 0.0) & (values <= 1.0)]
+    for pv in [printed] + ([PValueVector(probabilities, DIR)] if probabilities.size else []):
+        write_pvalues_csv(pv, written)
+        _reference_pvalues_csv(pv, reference)
+        assert written.read_bytes() == reference.read_bytes()
+        assert read_pvalues_csv(written).tobytes() == pv.values.tobytes()
+
+
+class TestWriters:
+    @pytest.mark.parametrize(
+        "values",
+        [[0.5], [-0.0], [0.0, -0.0, 1.0, 5e-324, 1e308, -1e308, 1e-300, 0.1]],
+        ids=["m=1", "negative-zero", "edges"],
+    )
+    def test_edge_values_match_the_reference(self, tmp_path, values):
+        _assert_writers_match_reference(values, tmp_path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.floats(0.0, 1.0)
+            | st.sampled_from([-0.0, 5e-324]),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_finite_doubles_match_the_reference(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_writers_match_reference(values, Path(tmp))
+
+    def test_control_reexports_the_stats_functions(self):
+        # The bench tracer patches every module attribute that is this object.
+        assert artifact.control.write_pvalues_csv is stats.write_pvalues_csv
+        assert artifact.control.read_pvalues_csv is stats.read_pvalues_csv
 
 
 class TestStatisticFunctions:

@@ -15,139 +15,30 @@ equivalence margins into:
   criteria on small instances (:mod:`artifact.ct_oracle`), and
 * a Monte Carlo harness for method comparisons (:mod:`artifact.simulate`).
 
-Indices are 0-based everywhere.  See the README for the CLI.
+The public API is the union of the seven modules' ``__all__`` lists: each
+public name is declared once, in the ``__all__`` of the module that defines
+it, and republished here unchanged.  Indices are 0-based everywhere.  See
+the README for the CLI.
 """
 
-from .baselines import (
-    ExactTestResult,
-    SamEstimate,
-    TransformationGroup,
-    benjamini_hochberg,
-    lehmann_romano_critical_values,
-    lehmann_romano_stepdown,
-    sam_bound,
-    sam_two_transform,
-    sign_flip_test,
-    two_group_permutation_test,
-)
-from .control import (
-    NullDensitySpec,
-    PValueVector,
-    control_mfdp,
-    directional_pvalues,
-    equivalence_pvalues,
-    read_pvalues_csv,
-    write_pvalues_csv,
-)
-from .core import (
-    ControlResult,
-    FdpEstimate,
-    HypothesisShape,
-    InfeasibleError,
-    RejectionProfile,
-    StatisticVector,
-    build_profile,
-)
-from .ct_oracle import (
-    ClosureResult,
-    LocalTestFamily,
-    indices_to_mask,
-    mask_to_indices,
-    run_closure,
-    verify_random_instances,
-    verify_shortcut,
-)
-from .estimators import (
-    CoinSource,
-    estimate_directional,
-    estimate_directional_randomized,
-    estimate_equivalence,
-    estimate_equivalence_windowed,
-)
-from .simulate import (
-    MetricRow,
-    MetricTable,
-    ScenarioSpec,
-    ScenarioTruth,
-    StudySpec,
-    control_coverage,
-    generate,
-    generate_statistics,
-    run_study,
-)
-from .stats import (
-    DataMatrix,
-    apply_margin_shift,
-    column_mean_statistics,
-    read_data_csv,
-    read_statistics_csv,
-    two_group_statistics,
-    welch_t_statistics,
-    write_statistics_csv,
-)
+from . import baselines, control, core, ct_oracle, estimators, simulate, stats
+from .baselines import *  # noqa: F401,F403
+from .control import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .ct_oracle import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .stats import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core
-    "HypothesisShape",
-    "StatisticVector",
-    "RejectionProfile",
-    "build_profile",
-    "FdpEstimate",
-    "ControlResult",
-    "InfeasibleError",
-    # estimators
-    "CoinSource",
-    "estimate_directional",
-    "estimate_directional_randomized",
-    "estimate_equivalence",
-    "estimate_equivalence_windowed",
-    # control and p-values
-    "control_mfdp",
-    "NullDensitySpec",
-    "PValueVector",
-    "directional_pvalues",
-    "equivalence_pvalues",
-    "read_pvalues_csv",
-    "write_pvalues_csv",
-    # statistics and ingestion
-    "DataMatrix",
-    "read_data_csv",
-    "read_statistics_csv",
-    "write_statistics_csv",
-    "column_mean_statistics",
-    "two_group_statistics",
-    "welch_t_statistics",
-    "apply_margin_shift",
-    # baselines
-    "TransformationGroup",
-    "SamEstimate",
-    "sam_bound",
-    "sam_two_transform",
-    "benjamini_hochberg",
-    "lehmann_romano_critical_values",
-    "lehmann_romano_stepdown",
-    "ExactTestResult",
-    "sign_flip_test",
-    "two_group_permutation_test",
-    # closed-testing oracle
-    "LocalTestFamily",
-    "ClosureResult",
-    "run_closure",
-    "verify_shortcut",
-    "verify_random_instances",
-    "indices_to_mask",
-    "mask_to_indices",
-    # simulation
-    "ScenarioSpec",
-    "ScenarioTruth",
-    "generate",
-    "generate_statistics",
-    "StudySpec",
-    "MetricRow",
-    "MetricTable",
-    "run_study",
-    "control_coverage",
+    *core.__all__,
+    *estimators.__all__,
+    *control.__all__,
+    *stats.__all__,
+    *baselines.__all__,
+    *ct_oracle.__all__,
+    *simulate.__all__,
 ]

@@ -85,8 +85,11 @@ class TransformationGroup:
 
     ``signs`` (entries +-1, one row per transformation) encodes row-wise
     sign flips; ``perms`` encodes row permutations.  Exactly one of the two
-    is set.  Subsampled variants draw transformations with replacement,
-    always keep the identity as row 0, and record their seed.
+    is set, and its row 0 is the identity, which ``sam_bound`` and
+    ``sam_subset`` read as the observed data; construction checks both and
+    raises ValueError otherwise.  Subsampled variants draw transformations
+    with replacement, always keep the identity as row 0, and record their
+    seed.
     """
 
     kind: str
@@ -94,6 +97,22 @@ class TransformationGroup:
     signs: np.ndarray | None = None
     perms: np.ndarray | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        if (self.signs is None) == (self.perms is None):
+            raise ValueError("a transformation group needs exactly one of signs and perms")
+        table = np.asarray(self.signs if self.signs is not None else self.perms)
+        if table.ndim != 2 or table.size == 0:
+            raise ValueError(f"transformation table must be 2-d and non-empty, got shape {table.shape}")
+        if self.signs is not None:
+            if not ((np.abs(table) == 1).all() and (table[0] == 1).all()):
+                raise ValueError("signs must all be +-1, with the identity (all +1) in row 0")
+        else:
+            identity = np.arange(table.shape[1])
+            if not ((np.sort(table, axis=1) == identity).all() and (table[0] == identity).all()):
+                raise ValueError(
+                    "each perms row must be a permutation of range(n_rows), with the identity in row 0"
+                )
 
     @property
     def size(self) -> int:

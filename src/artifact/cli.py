@@ -353,6 +353,8 @@ def _cmd_verify_ct(args) -> int:
 
 
 def _cmd_exact_test(args) -> int:
+    if _is_statistics_file(args.input):
+        raise ValueError(f"{args.input}: exact-test takes raw data, not a statistics file")
     dm = read_data_csv(args.input)
     if args.feature is not None:
         if args.feature not in dm.feature_names:

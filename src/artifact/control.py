@@ -17,8 +17,9 @@ larger inside it, given a model for the null density of ``T_j - mu_j``
 (symmetric around zero).  They exist so the rejection counts can feed
 mean-FDP style procedures that consume p-values; building any particular
 bound from them is out of scope here.  Their ``index,pvalue`` file format
-lives in :mod:`artifact.stats`; ``read_pvalues_csv`` and
-``write_pvalues_csv`` are re-exported here.
+lives in :mod:`artifact.stats`, which exports ``read_pvalues_csv`` and
+``write_pvalues_csv``; they are imported here as aliases of the same
+functions, not exported again.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ControlResult, HypothesisShape, StatisticVector, build_profile
-from .stats import read_pvalues_csv, write_pvalues_csv
+from .stats import read_pvalues_csv, write_pvalues_csv  # noqa: F401  (aliases, see above)
 
 __all__ = [
     "control_mfdp",
@@ -38,8 +39,6 @@ __all__ = [
     "PValueVector",
     "directional_pvalues",
     "equivalence_pvalues",
-    "write_pvalues_csv",
-    "read_pvalues_csv",
 ]
 
 

@@ -142,7 +142,6 @@ class RejectionProfile:
     read-only.
     """
 
-    source: StatisticVector
     thresholds: np.ndarray
     r_grid: np.ndarray
     r_minus_grid: np.ndarray
@@ -199,7 +198,6 @@ def build_profile(sv: StatisticVector) -> RejectionProfile:
     r_grid = n_pos - positive
     last -= positive  # nonpositive cuts up to each grid point
     return RejectionProfile(
-        source=sv,
         thresholds=thresholds,
         r_grid=r_grid,
         r_minus_grid=(k.size - n_pos) - last,

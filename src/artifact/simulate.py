@@ -61,7 +61,6 @@ from .control import (
     control_mfdp,
     directional_pvalues,
     equivalence_pvalues,
-    write_pvalues_csv,
 )
 from .core import HypothesisShape, InfeasibleError, StatisticVector
 from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
@@ -71,6 +70,7 @@ from .estimators import (
     estimate_directional_randomized,
     estimate_equivalence,
 )
+from .stats import DataMatrix, write_pvalues_csv
 
 __all__ = [
     "NOISE_FAMILIES",
@@ -262,8 +262,6 @@ def generate(spec: ScenarioSpec, replicate_index: int):
     Returns ``(DataMatrix, ScenarioTruth)``.  Column offsets are
     ``mu / sqrt(n)`` so the statistic-scale means are exactly ``truth.mu``.
     """
-    from .stats import DataMatrix  # local import: stats also imports core
-
     truth, rng = _replicate(spec, replicate_index)
     eps = _unit_noise(rng, (spec.n, spec.m), spec.noise, spec.noise_df)
     values = truth.mu / math.sqrt(spec.n) + math.sqrt(1.0 - spec.rho) * eps

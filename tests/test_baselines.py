@@ -87,6 +87,41 @@ class TestTransformationGroup:
         with pytest.raises(ValueError, match="rows"):
             list(group.apply_to(np.ones((3, 2))))
 
+    def test_identity_must_be_row_0(self):
+        # sam_bound reads row 0 as the observed data: reversing the rows of
+        # the full group would make it reject column 1 instead of column 0.
+        data = np.array([[2.0, -2.0]] * 3)
+        group = TransformationGroup.sign_flip_full(3)
+        np.testing.assert_array_equal(sam_bound(data, _column_sums, group, t=1.0).rejected, [0])
+        with pytest.raises(ValueError, match="row 0"):
+            TransformationGroup(kind=group.kind, n=3, signs=group.signs[::-1])
+
+    @pytest.mark.parametrize(
+        "tables, match",
+        [
+            ({}, "exactly one"),
+            ({"signs": np.ones((2, 3)), "perms": np.array([[0, 1, 2], [2, 1, 0]])}, "exactly one"),
+            ({"signs": np.ones(3)}, "2-d"),
+            ({"signs": np.ones((0, 3))}, "non-empty"),
+            ({"perms": np.empty((2, 0), dtype=np.int64)}, "non-empty"),
+            ({"signs": np.zeros((4, 2))}, r"\+-1"),
+            ({"signs": np.array([[1, 1], [2, -1]])}, r"\+-1"),
+            ({"signs": np.array([[1, -1], [1, 1]])}, "row 0"),
+            ({"perms": np.array([[0, 1, 2], [0, 0, 2]])}, "permutation"),
+            ({"perms": np.array([[0, 1, 3], [2, 1, 0]])}, "permutation"),
+            ({"perms": np.array([[1, 0, 2], [0, 1, 2]])}, "row 0"),
+        ],
+    )
+    def test_invalid_tables_are_refused(self, tables, match):
+        with pytest.raises(ValueError, match=match):
+            TransformationGroup(kind="custom", n=3, **tables)
+
+    def test_valid_custom_tables_are_accepted(self):
+        signs = TransformationGroup(kind="custom", n=2, signs=np.array([[1.0, 1.0], [-1.0, 1.0]]))
+        assert signs.size == 2
+        perms = TransformationGroup(kind="custom", n=1, perms=np.array([[0, 1], [1, 0]]))
+        assert perms.n_rows == 2
+
 
 # ---------------------------------------------------------------------------
 # SAM bounds

@@ -713,6 +713,21 @@ class TestExactTest:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("test", ["sign-flip", "permutation"])
+    @pytest.mark.parametrize(
+        "header", ["index,statistic", "index,statistic,margin", "\ufeff Index , STATISTIC "]
+    )
+    def test_statistics_file_exits_2_naming_the_file(self, capsys, tmp_path, test, header):
+        # Read as raw data, the index column would be tested as a feature.
+        path = tmp_path / "st.csv"
+        margin = ",0.0" if header.endswith("margin") else ""
+        path.write_text(header + "\n" + "".join(f"{j},{j + 1.5}{margin}\n" for j in range(4)))
+        code, out, err = run(capsys, "exact-test", str(path), "--test", test, "--alpha", "0.25")
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+        assert "statistics file" in err
+
 
 # --- global behaviour -------------------------------------------------------
 

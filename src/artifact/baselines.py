@@ -19,7 +19,9 @@ Three families live here:
   and rejects {i : p_i <= p_(k)}.
 * Exact single-hypothesis tests by full enumeration of a transformation
   group: one-sample sign flips (all 2^n patterns) and two-group label
-  permutations (all C(2n, n) distinct splits).
+  permutations (all C(2n, n) distinct splits).  The split table is built
+  once per n and cached read-only as ``uint8``: C(2n, n) * n bytes, 1.85 MB
+  at n = 10 and about 10 MB over every n <= 11 that the cap allows.
 
 Feasibility caps raise :class:`artifact.core.InfeasibleError`: 2^n
 enumeration needs n <= 20, and full split enumeration needs
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterator
 
@@ -86,10 +89,11 @@ class TransformationGroup:
     ``signs`` (entries +-1, one row per transformation) encodes row-wise
     sign flips; ``perms`` encodes row permutations.  Exactly one of the two
     is set, and its row 0 is the identity, which ``sam_bound`` and
-    ``sam_subset`` read as the observed data; construction checks both and
-    raises ValueError otherwise.  Subsampled variants draw transformations
-    with replacement, always keep the identity as row 0, and record their
-    seed.
+    ``sam_subset`` read as the observed data.  ``n`` is the number of data
+    rows for sign flips and the per-group size (half the rows) for
+    permutations.  Construction checks all of this and raises ValueError
+    otherwise.  Subsampled variants draw transformations with replacement,
+    always keep the identity as row 0, and record their seed.
     """
 
     kind: str
@@ -113,6 +117,9 @@ class TransformationGroup:
                 raise ValueError(
                     "each perms row must be a permutation of range(n_rows), with the identity in row 0"
                 )
+        rows = self.n if self.signs is not None else 2 * self.n
+        if table.shape[1] != rows:
+            raise ValueError(f"n={self.n} needs a table on {rows} data rows, got {table.shape[1]}")
 
     @property
     def size(self) -> int:
@@ -196,8 +203,24 @@ class TransformationGroup:
                 yield data[perm]
 
     def statistics(self, data: np.ndarray, statistic_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Stack ``statistic_fn`` over all transformed data sets: (B, m)."""
-        return np.stack([np.asarray(statistic_fn(x), dtype=np.float64) for x in self.apply_to(data)])
+        """``statistic_fn`` over all transformed data sets, one row each: (B, m).
+
+        The rows are filled into one preallocated float64 array.  As with
+        ``np.stack``, a scalar statistic gives shape (B,), and a row whose
+        shape differs from row 0's raises ValueError.
+        """
+        copies = self.apply_to(data)
+        first = np.asarray(statistic_fn(next(copies)), dtype=np.float64)
+        out = np.empty((self.size,) + first.shape)
+        out[0] = first
+        for b, x in enumerate(copies, start=1):
+            row = np.asarray(statistic_fn(x), dtype=np.float64)
+            if row.shape != first.shape:
+                raise ValueError(
+                    f"statistic rows must all have one shape: row {b} has {row.shape}, row 0 {first.shape}"
+                )
+            out[b] = row
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,12 +440,33 @@ def sign_flip_test(x, alpha: float) -> ExactTestResult:
         raise InfeasibleError(
             f"full sign-flip enumeration needs n <= 20 (2^n transformations); got n={n}"
         )
-    # All 2^n signed sums by repeated doubling; index 0 keeps every +x_i,
-    # so it is the identity transformation's sum.
-    sums = np.zeros(1, dtype=np.float64)
+    # All 2^n signed sums by repeated doubling in one buffer: with s the k
+    # sums so far, entries k..2k-1 become s - x_i and entries 0..k-1 s + x_i.
+    # Index 0 keeps every +x_i, so it is the identity transformation's sum.
+    sums = np.zeros(2**n, dtype=np.float64)
+    k = 1
     for xi in x:
-        sums = np.concatenate([sums + xi, sums - xi])
+        sums[k : 2 * k] = sums[:k] - xi
+        sums[:k] += xi
+        k *= 2
     return _exact_result(sums / math.sqrt(n), alpha)
+
+
+@lru_cache(maxsize=None)
+def _split_table(n: int) -> np.ndarray:
+    """All C(2n, n) choices of the n z-role positions among 2n, one per row.
+
+    Rows come in ``combinations(range(2n), n)`` order, so row 0 is the
+    identity split (0, ..., n-1).  Every caller with the same n shares the
+    one read-only ``uint8`` table; the caller's cap C(2n, n) <= 2^20 bounds
+    n by 11, so 2n fits in a byte and all tables together take about 10 MB.
+    """
+    n_splits = math.comb(2 * n, n)
+    table = np.fromiter(
+        chain.from_iterable(combinations(range(2 * n), n)), dtype=np.uint8, count=n_splits * n
+    ).reshape(n_splits, n)
+    table.flags.writeable = False
+    return table
 
 
 def two_group_permutation_test(z, y, alpha: float) -> ExactTestResult:
@@ -431,7 +475,10 @@ def two_group_permutation_test(z, y, alpha: float) -> ExactTestResult:
     The statistic is ``sqrt(n) * (mean(z) - mean(y))`` recomputed for every
     way of choosing which n of the 2n pooled values play the z role.  Groups
     must have equal size.  The size is exactly alpha for continuous data
-    when alpha is a multiple of 1/C(2n, n).
+    when alpha is a multiple of 1/C(2n, n).  The table of splits is built
+    on the first call for each n and then cached read-only: C(2n, n) * n
+    bytes, 1.85 MB at n = 10 and 7.8 MB at n = 11, the largest n the cap
+    allows.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
@@ -447,9 +494,6 @@ def two_group_permutation_test(z, y, alpha: float) -> ExactTestResult:
         )
     pooled = np.concatenate([z, y])
     total = float(pooled.sum())
-    picks = np.fromiter(
-        chain.from_iterable(combinations(range(2 * n), n)), dtype=np.intp, count=n_splits * n
-    ).reshape(n_splits, n)
-    sums = pooled[picks].sum(axis=1)
-    # combinations() emits (0, ..., n-1) first: the identity split.
+    sums = pooled[_split_table(n)].sum(axis=1)
+    # Row 0 of the split table is (0, ..., n-1): the identity split.
     return _exact_result(math.sqrt(n) * (2.0 * sums - total) / n, alpha)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from itertools import chain, combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from artifact import (
     sign_flip_test,
     two_group_permutation_test,
 )
+from artifact import baselines
 
 
 def _column_sums(data):
@@ -121,6 +125,84 @@ class TestTransformationGroup:
         assert signs.size == 2
         perms = TransformationGroup(kind="custom", n=1, perms=np.array([[0, 1], [1, 0]]))
         assert perms.n_rows == 2
+
+    @pytest.mark.parametrize(
+        "n, tables",
+        [
+            (5, {"signs": np.ones((2, 3))}),
+            (2, {"signs": np.ones((2, 3))}),
+            (3, {"perms": np.array([[0, 1, 2], [2, 1, 0]])}),
+            (2, {"perms": np.array([[0, 1], [1, 0]])}),
+            (1, {"perms": np.array([[0, 1, 2, 3], [2, 3, 0, 1]])}),
+        ],
+    )
+    def test_n_must_match_the_table(self, n, tables):
+        # n counts the rows of a sign-flip table and half the rows (the
+        # per-group size) of a permutation table.
+        with pytest.raises(ValueError, match=f"n={n} needs"):
+            TransformationGroup(kind="custom", n=n, **tables)
+
+
+def _stacked_statistics(group, data, statistic_fn):
+    """The list-and-``np.stack`` route that ``statistics`` replaced."""
+    return np.stack([np.asarray(statistic_fn(x), dtype=np.float64) for x in group.apply_to(data)])
+
+
+_STATISTIC_GROUPS = {
+    "sign-flip-full": lambda: TransformationGroup.sign_flip_full(5),
+    "sign-flip-subsample": lambda: TransformationGroup.sign_flip_subsample(5, n_transforms=40, seed=3),
+    "negation-pair": lambda: TransformationGroup.negation_pair(5),
+    "case-control-swap": lambda: TransformationGroup.case_control_swap(3),
+    "permutation-subsample": lambda: TransformationGroup.permutation_subsample(3, n_transforms=40, seed=4),
+}
+
+
+class TestStatistics:
+    @pytest.mark.parametrize("kind", sorted(_STATISTIC_GROUPS))
+    @pytest.mark.parametrize(
+        "statistic_fn",
+        [
+            _column_sums,
+            lambda x: x[0],  # a view into the transformed copy
+            lambda x: x[:2].mean(axis=0) - x[2:].mean(axis=0),
+            lambda x: (x > 0).sum(axis=0),  # integer rows are converted
+            lambda x: x.sum(),  # scalar
+        ],
+        ids=["column-sums", "view", "difference", "integer", "scalar"],
+    )
+    def test_bit_identical_to_the_stacked_route(self, kind, statistic_fn):
+        group = _STATISTIC_GROUPS[kind]()
+        data = np.random.default_rng(11).normal(size=(group.n_rows, 7))
+        data[:, 3] = data[0, 3]  # a tied column
+        got = group.statistics(data, statistic_fn)
+        want = _stacked_statistics(group, data, statistic_fn)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_view_statistic_keeps_every_row(self):
+        group = TransformationGroup.sign_flip_full(2)
+        data = np.array([[1.0, 2.0], [3.0, 4.0]])
+        stats = group.statistics(data, lambda x: x[0])
+        np.testing.assert_array_equal(stats, [[1.0, 2.0], [-1.0, -2.0], [1.0, 2.0], [-1.0, -2.0]])
+
+    @pytest.mark.parametrize(
+        "first, later",
+        [
+            (np.zeros(4), np.zeros(3)),
+            (np.zeros(4), np.zeros(1)),
+            (np.zeros(4), np.zeros((1, 4))),
+            (np.zeros(4), np.float64(0.0)),
+            (np.float64(0.0), np.zeros(4)),
+        ],
+        ids=["shorter", "broadcastable", "2-d", "scalar-later", "scalar-first"],
+    )
+    def test_mismatched_row_shapes_raise(self, first, later):
+        group = TransformationGroup.sign_flip_full(2)
+        for route, match in ((_stacked_statistics, None), (TransformationGroup.statistics, "row 1")):
+            rows = iter([first, later, later, later])
+            with pytest.raises(ValueError, match=match):
+                route(group, np.ones((2, 4)), lambda x: next(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +510,19 @@ class TestLehmannRomano:
 # ---------------------------------------------------------------------------
 
 
+def _capture_exact_statistics(monkeypatch):
+    """Record the statistics vector each exact test hands to its shared tail."""
+    seen = []
+    tail = baselines._exact_result
+
+    def recording(stats, alpha):
+        seen.append(stats.copy())
+        return tail(stats, alpha)
+
+    monkeypatch.setattr(baselines, "_exact_result", recording)
+    return seen
+
+
 class TestSignFlipTest:
     def test_worked_example_rejects(self):
         res = sign_flip_test([1.0, 1.0, 1.0], alpha=0.25)
@@ -452,6 +547,26 @@ class TestSignFlipTest:
     def test_feasibility_cap(self):
         with pytest.raises(InfeasibleError, match="n <= 20"):
             sign_flip_test(np.ones(21), alpha=0.1)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "zeros"])
+    def test_doubling_buffer_matches_concatenate(self, monkeypatch, n, kind):
+        # The literal route: a fresh array per doubling step.
+        rng = np.random.default_rng(n)
+        x = {
+            "continuous": rng.normal(size=n),
+            "tied": rng.integers(-2, 3, size=n).astype(np.float64),
+            "zeros": np.where(rng.random(n) < 0.5, 0.0, -0.0),
+        }[kind]
+        literal = np.zeros(1, dtype=np.float64)
+        for xi in x:
+            literal = np.concatenate([literal + xi, literal - xi])
+        literal = literal / math.sqrt(n)
+        seen = _capture_exact_statistics(monkeypatch)
+        for alpha in (0.05, 0.25, 0.5):
+            res = sign_flip_test(x, alpha)
+            assert seen.pop().tobytes() == literal.tobytes()
+            assert res == baselines._exact_result(literal, alpha)
 
     def test_exact_size_at_the_boundary(self):
         # theta = 0, continuous data, alpha a multiple of 2^-n: size == alpha
@@ -507,3 +622,46 @@ class TestPermutationTest:
         # pooled summation order changes, so only up-to-rounding antisymmetry
         assert a.t_observed == pytest.approx(-b.t_observed, rel=1e-12)
         assert a.n_transforms == b.n_transforms
+
+
+def _literal_picks(n):
+    """The per-call ``combinations`` -> ``intp`` pick matrix the cache replaced."""
+    return np.fromiter(
+        chain.from_iterable(combinations(range(2 * n), n)), dtype=np.intp, count=math.comb(2 * n, n) * n
+    ).reshape(-1, n)
+
+
+class TestSplitTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_matches_the_per_call_pick_matrix(self, monkeypatch, n, kind):
+        rng = np.random.default_rng(100 + n)
+        if kind == "continuous":
+            z, y = rng.normal(size=n), rng.normal(size=n)
+        else:
+            z, y = (rng.integers(0, 3, size=n).astype(np.float64) for _ in range(2))
+        pooled = np.concatenate([z, y])
+        sums = pooled[_literal_picks(n)].sum(axis=1)
+        literal = math.sqrt(n) * (2.0 * sums - float(pooled.sum())) / n
+        seen = _capture_exact_statistics(monkeypatch)
+        for alpha in (0.01, 0.05, 0.2, 0.5):
+            res = two_group_permutation_test(z, y, alpha)
+            assert seen.pop().tobytes() == literal.tobytes()
+            assert res == baselines._exact_result(literal, alpha)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
+    def test_table_is_the_pick_matrix_in_combinations_order(self, n):
+        table = baselines._split_table(n)
+        assert table.dtype == np.uint8
+        assert table.shape == (math.comb(2 * n, n), n)
+        np.testing.assert_array_equal(table, _literal_picks(n))
+        np.testing.assert_array_equal(table[0], np.arange(n))  # the identity split
+
+    def test_table_is_cached_and_read_only(self):
+        table = baselines._split_table(4)
+        assert baselines._split_table(4) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        two_group_permutation_test(np.ones(4), np.zeros(4), alpha=0.1)
+        assert baselines._split_table(4) is table

@@ -76,6 +76,11 @@ def _order_index(alpha: float, n_transforms: int) -> int:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return _cached_order_index(alpha, n_transforms)
+
+
+@lru_cache(maxsize=256)
+def _cached_order_index(alpha: float, n_transforms: int) -> int:
     # ceil((1 - a) * B) == B - floor(a * B) for integer B, evaluated with the
     # guarded floor so rationals like 7/70 land on the intended index.
     k = n_transforms - int(_guarded_floor(alpha * n_transforms))

@@ -124,9 +124,14 @@ def _signed_cuts(sv: StatisticVector) -> np.ndarray:
     every ``t >= c`` reject nothing, and since ``c > 0`` it never reaches a
     negative cut, so ``-k_j > t`` is the mirror region ``|T_j| - delta_j > t``.
     """
-    if sv.shape is HypothesisShape.DIRECTIONAL:
-        return sv.statistics - sv.margins
-    return np.minimum(sv.margins - np.abs(sv.statistics), np.min(sv.margins))
+    return _cuts(sv.statistics, sv.margins, sv.shape)
+
+
+def _cuts(statistics: np.ndarray, margins: np.ndarray, shape: HypothesisShape) -> np.ndarray:
+    """The signed cuts of ``statistics``, one family per row when it is 2-d."""
+    if shape is HypothesisShape.DIRECTIONAL:
+        return statistics - margins
+    return np.minimum(margins - np.abs(statistics), np.min(margins))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +175,21 @@ class RejectionProfile:
         return np.flatnonzero(self._k > t)
 
 
+def _sorted_keys(k: np.ndarray) -> np.ndarray:
+    """The cuts along the last axis as sorted uint64 keys, ``|k| << 1 | (k > 0)``.
+
+    Non-negative doubles order like their bit patterns, so |k| shifted up
+    one bit, with the label in the freed low bit, sorts as one uint64 key.
+    An extra leading zero key puts the grid's first point, 0, in front.
+    """
+    key = np.zeros(k.shape[:-1] + (k.shape[-1] + 1,), dtype=np.uint64)
+    np.abs(k, out=key[..., 1:].view(np.float64))
+    key <<= 1
+    key[..., 1:] |= k > 0.0
+    key.sort(axis=-1)
+    return key
+
+
 def build_profile(sv: StatisticVector) -> RejectionProfile:
     """Build the step-function profile (R, R-) for a statistic vector.
 
@@ -179,14 +199,7 @@ def build_profile(sv: StatisticVector) -> RejectionProfile:
     first point, 0, and so count towards neither R nor R-.
     """
     k = _signed_cuts(sv)
-    # Non-negative doubles order like their bit patterns, so |k| shifted up
-    # one bit, with the label in the freed low bit, sorts as one uint64 key.
-    # The extra leading zero key puts the grid's first point, 0, in front.
-    key = np.zeros(k.size + 1, dtype=np.uint64)
-    np.abs(k, out=key[1:].view(np.float64))
-    key <<= 1
-    key[1:] |= k > 0.0
-    key.sort()
+    key = _sorted_keys(k)
     positive = np.cumsum(key & 1, dtype=np.intp)  # positive cuts up to each position
     key >>= 1
     last = np.flatnonzero(np.append(key[1:] != key[:-1], True))  # end of each distinct |k|
@@ -203,6 +216,35 @@ def build_profile(sv: StatisticVector) -> RejectionProfile:
         r_minus_grid=(k.size - n_pos) - last,
         _k=k,
     )
+
+
+def _scan_s_plus(k: np.ndarray, gamma: float) -> np.ndarray:
+    """``control_mfdp``'s ``s_plus`` for each row of an (R, m) block of cuts.
+
+    The row-wise form of :func:`build_profile` and the control scan: the
+    grid points are the ends of the runs of equal ``|k|`` in each row's
+    sorted keys, and the FDP estimate min(R, R-) / max(R, 1) is read there.
+    ``s_plus`` is the grid point after the last one whose estimate exceeds
+    ``gamma``, which is the ``|k|`` just past that run, or 0 when no
+    estimate exceeds it.
+    """
+    key = _sorted_keys(k)
+    m = k.shape[1]
+    positive = np.cumsum(key & 1, axis=1, dtype=np.intp)
+    n_pos = positive[:, -1:]
+    key >>= 1
+    run_end = np.ones(key.shape, dtype=bool)
+    np.not_equal(key[:, 1:], key[:, :-1], out=run_end[:, :-1])
+    r = n_pos - positive
+    # Positions 0..j hold j + 1 keys, the leading zero key among them, so
+    # j - positive[j] of them are nonpositive cuts.
+    r_minus = (m - n_pos) - (np.arange(m + 1) - positive)
+    exceeding = run_end & (np.minimum(r, r_minus) / np.maximum(r, 1) > gamma)
+    # The final grid point rejects nothing, so the last exceeding run ends
+    # before position m and the next run starts inside the row.
+    last = m - np.argmax(exceeding[:, ::-1], axis=1)
+    s_plus = key[np.arange(key.shape[0]), np.minimum(last + 1, m)].view(np.float64)
+    return np.where(exceeding.any(axis=1), s_plus, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

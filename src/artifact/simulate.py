@@ -31,6 +31,10 @@ helper: one effect per row (n rows of data, or the single row of
 statistics), the null block first under ``independent_blocks``.
 Study cells derive their scenario seeds from ``SeedSequence([study_seed,
 cell_id])``, so a study is bit-reproducible.
+The truth depends only on (n, m, pi0, d, shape, delta).  ``_truth`` keeps it
+in an ``lru_cache`` keyed on those fields, so every replicate, and every spec
+that differs only in seed, replicates, rho, noise or independent_blocks,
+shares one read-only ``ScenarioTruth``.
 With normal noise and no data-demanding method in the study, statistics
 are drawn directly on the statistic scale (same law, fewer draws); any
 other configuration generates full data matrices.
@@ -43,6 +47,7 @@ import math
 import numbers
 from collections import defaultdict
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Iterator
@@ -62,7 +67,7 @@ from .control import (
     directional_pvalues,
     equivalence_pvalues,
 )
-from .core import HypothesisShape, InfeasibleError, StatisticVector
+from .core import HypothesisShape, InfeasibleError, StatisticVector, _cuts, _scan_s_plus
 from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
 from .estimators import (
     CoinSource,
@@ -186,7 +191,7 @@ class ScenarioTruth:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "null_mask", mask)
 
-    @property
+    @cached_property
     def n_false(self) -> int:
         return int((~self.null_mask).sum())
 
@@ -217,19 +222,32 @@ def _unit_noise(rng: np.random.Generator, size, family: str, df: float) -> np.nd
 
 
 def _scenario_means(spec: ScenarioSpec) -> ScenarioTruth:
-    m0 = spec.n_true_requested
-    mu = np.empty(spec.m, dtype=np.float64)
-    shift = math.sqrt(spec.n) * spec.d
-    if spec.shape is HypothesisShape.DIRECTIONAL:
-        mu[:m0] = spec.delta
-        mu[m0:] = spec.delta + shift
-        null_mask = mu <= spec.delta
+    """The spec's truth, shared by every spec with the same truth fields."""
+    return _truth(spec.n, spec.m, spec.pi0, spec.d, spec.shape, spec.delta)
+
+
+@lru_cache(maxsize=64)
+def _truth(n: int, m: int, pi0: float, d: float, shape: HypothesisShape, delta: float) -> ScenarioTruth:
+    # Only these fields set the truth; its arrays are read-only, so every
+    # replicate of every spec that shares them can share one object.
+    m0 = int(_guarded_floor(pi0 * m))  # ScenarioSpec.n_true_requested
+    mu = np.empty(m, dtype=np.float64)
+    shift = math.sqrt(n) * d
+    if shape is HypothesisShape.DIRECTIONAL:
+        mu[:m0] = delta
+        mu[m0:] = delta + shift
+        null_mask = mu <= delta
     else:
         signs = np.where(np.arange(m0) % 2 == 0, 1.0, -1.0)
-        mu[:m0] = signs * (spec.delta + shift)
+        mu[:m0] = signs * (delta + shift)
         mu[m0:] = 0.0
-        null_mask = np.abs(mu) >= spec.delta
+        null_mask = np.abs(mu) >= delta
     return ScenarioTruth(mu=mu, null_mask=null_mask)
+
+
+@lru_cache(maxsize=8)
+def _feature_names(m: int) -> tuple[str, ...]:
+    return tuple(f"h{j + 1:04d}" for j in range(m))
 
 
 def _replicate(spec: ScenarioSpec, replicate_index: int):
@@ -269,8 +287,7 @@ def generate(spec: ScenarioSpec, replicate_index: int):
         values = values + _row_effects(
             spec, truth, lambda: _unit_noise(rng, spec.n, spec.noise, spec.noise_df)[:, None]
         )
-    names = tuple(f"h{j + 1:04d}" for j in range(spec.m))
-    return DataMatrix(values=values, feature_names=names), truth
+    return DataMatrix(values=values, feature_names=_feature_names(spec.m)), truth
 
 
 def study_statistics(values: np.ndarray, spec: ScenarioSpec) -> StatisticVector:
@@ -534,6 +551,11 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     scale = math.sqrt(spec.n) / spec.n
 
     full_group = TransformationGroup.sign_flip_full(spec.n) if "SAM-full" in methods else None
+    if full_group is not None:
+        # The sign-flipped statistics of every replicate go into one buffer;
+        # _sam_estimate keeps nothing of it.
+        full_signs = full_group.signs.astype(np.float64)
+        full_stats = np.empty((full_group.size, spec.m))
     ct_group = _sam_ct_group(spec) if "SAM+CT" in methods else None
 
     # Per method, each metric's per-replicate values, keyed in output order.
@@ -577,7 +599,9 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 metrics["p_fdp_le_estimate"].append((not rnd.floored) and rnd_true <= rnd.v_tilde)
                 metrics["floor_rate"].append(rnd.floored)
             elif name == "SAM-full":
-                sam = _sam_estimate((full_group.signs @ data) * scale, full_group, t, 0.5)
+                np.matmul(full_signs, data, out=full_stats)
+                full_stats *= scale
+                sam = _sam_estimate(full_stats, full_group, t, 0.5)
                 metrics["mean_fdp_estimate"].append(sam.fdp_bar)
                 metrics["p_fdp_le_estimate"].append(truth.false_count(sam.rejected) <= sam.v_bar)
             elif name == "SAM+CT":
@@ -618,6 +642,11 @@ def run_study(study: StudySpec, out_dir=None, threads: int | None = None) -> Met
     return MetricTable(rows=tuple(rows), study=study.to_dict())
 
 
+# control_coverage scans its replicates in blocks of about this many
+# statistics, so its peak memory does not grow with the replicate count.
+_COVERAGE_BLOCK_CELLS = 1 << 18
+
+
 def control_coverage(spec: ScenarioSpec, gamma: float) -> dict:
     """Empirical P(FDP(s_plus) <= gamma) over the spec's replicates.
 
@@ -625,14 +654,28 @@ def control_coverage(spec: ScenarioSpec, gamma: float) -> dict:
     (coverage >= 1/2) is proved for all-null configurations and for
     independent blocks; for other dependence structures the estimate is
     reported without any claim.
+
+    Each replicate's statistics come from :func:`generate_statistics`.  The
+    replicates are stacked into blocks of rows and the ``control_mfdp``
+    threshold of every row is found in one block scan, with the same
+    thresholds, rejections and result as one ``control_mfdp`` call per
+    replicate.
     """
     gamma = float(gamma)
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    hits = []
-    for rep in range(spec.replicates):
-        sv, truth = generate_statistics(spec, rep)
-        ctl = control_mfdp(sv, gamma)
-        hits.append(truth.fdp(ctl.rejected) <= gamma)
+    hits = np.empty(spec.replicates, dtype=bool)
+    block_rows = max(1, _COVERAGE_BLOCK_CELLS // spec.m)
+    for start in range(0, spec.replicates, block_rows):
+        reps = range(start, min(start + block_rows, spec.replicates))
+        block = np.empty((len(reps), spec.m))
+        for row, rep in zip(block, reps):
+            sv, truth = generate_statistics(spec, rep)
+            row[:] = sv.statistics
+        k = _cuts(block, sv.margins, spec.shape)
+        rejected = k > _scan_s_plus(k, gamma)[:, None]
+        v = np.count_nonzero(rejected & truth.null_mask, axis=1)
+        r = np.count_nonzero(rejected, axis=1)
+        hits[reps.start : reps.stop] = v / np.maximum(r, 1) <= gamma
     coverage, se = _prob_se(hits)
     return {"gamma": gamma, "coverage": coverage, "se": se, "replicates": spec.replicates}

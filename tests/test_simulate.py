@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import MISSING, fields
 
@@ -15,9 +16,11 @@ from artifact import (
     MetricTable,
     ScenarioSpec,
     ScenarioTruth,
+    StatisticVector,
     StudySpec,
     TransformationGroup,
     control_coverage,
+    control_mfdp,
     generate,
     generate_statistics,
     indices_to_mask,
@@ -26,6 +29,8 @@ from artifact import (
     run_study,
     sam_bound,
 )
+from artifact import simulate
+from artifact.core import _cuts, _scan_s_plus
 from artifact.simulate import STUDY_METHODS, study_statistics
 
 DIR = HypothesisShape.DIRECTIONAL
@@ -160,6 +165,47 @@ class TestGeneration:
         spec = ScenarioSpec(n=1, m=20000, pi0=1.0, noise="student-t", noise_df=5.0, seed=2)
         dm, _ = generate(spec, 0)
         assert abs(dm.values.std(ddof=1) - 1.0) < 0.03
+
+
+class TestTruthCache:
+    BASE = dict(n=6, m=9, pi0=0.5, d=0.5, delta=0.5, seed=1)
+
+    def _truth(self, **kw):
+        return generate_statistics(ScenarioSpec(**{**self.BASE, **kw}), 0)[1]
+
+    @pytest.mark.parametrize("shape", [DIR, EQU])
+    def test_cached_truth_equals_a_fresh_build(self, shape):
+        spec = ScenarioSpec(**{**self.BASE, "shape": shape})
+        cached = generate(spec, 3)[1]
+        fresh = simulate._truth.__wrapped__(spec.n, spec.m, spec.pi0, spec.d, spec.shape, spec.delta)
+        assert fresh is not cached
+        for a, b in ((cached.mu, fresh.mu), (cached.null_mask, fresh.null_mask)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+            assert not a.flags.writeable
+        assert cached.n_false == fresh.n_false == 5
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(seed=2), dict(replicates=7), dict(rho=0.4), dict(noise="laplace"),
+         dict(rho=0.4, independent_blocks=True)],
+    )
+    def test_fields_outside_the_truth_share_one_object(self, change):
+        assert self._truth(**change) is self._truth()
+        assert generate(ScenarioSpec(**{**self.BASE, **change}), 2)[1] is self._truth()
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(n=7), dict(m=10), dict(pi0=0.7), dict(d=0.6), dict(shape=EQU), dict(delta=0.8)],
+    )
+    def test_each_truth_field_gives_its_own_truth(self, change):
+        assert self._truth(**change) is not self._truth()
+
+    def test_feature_names_are_shared_and_numbered(self):
+        spec = ScenarioSpec(**self.BASE)
+        a, b = generate(spec, 0)[0], generate(spec, 1)[0]
+        assert a.feature_names is b.feature_names
+        assert a.feature_names == tuple(f"h{j + 1:04d}" for j in range(spec.m))
 
 
 class TestStudySpec:
@@ -483,3 +529,157 @@ class TestControlCoverage:
         spec = ScenarioSpec(n=5, m=10, pi0=1.0)
         with pytest.raises(ValueError, match="gamma"):
             control_coverage(spec, gamma=1.0)
+
+
+def _mfdp_coverage(spec: ScenarioSpec, gamma: float) -> dict:
+    """control_coverage as one control_mfdp call per replicate."""
+    hits = []
+    for rep in range(spec.replicates):
+        sv, truth = generate_statistics(spec, rep)
+        hits.append(truth.fdp(control_mfdp(sv, gamma).rejected) <= gamma)
+    p = float(np.mean(hits))
+    return {"gamma": float(gamma), "coverage": p, "se": float(np.sqrt(p * (1 - p) / len(hits))),
+            "replicates": spec.replicates}
+
+
+class TestCoverageBlockScan:
+    """The block scan of control_coverage against control_mfdp, row by row."""
+
+    def _check_rows(self, stats: np.ndarray, delta: float, shape, gamma: float):
+        sv0 = StatisticVector(stats[0], delta, shape)
+        k = _cuts(stats, sv0.margins, shape)
+        s_plus = _scan_s_plus(k, gamma)
+        null_mask = np.random.default_rng(stats.shape[1]).random(stats.shape[1]) < 0.5
+        for row, k_row, s in zip(stats, k, s_plus):
+            ctl = control_mfdp(StatisticVector(row, delta, shape), gamma)
+            assert s == ctl.s_plus
+            assert np.signbit(s) == np.signbit(ctl.s_plus)
+            rejected = np.flatnonzero(k_row > s)
+            np.testing.assert_array_equal(rejected, ctl.rejected)
+            fdp = np.count_nonzero(null_mask[rejected]) / max(rejected.size, 1)
+            ctl_fdp = np.count_nonzero(null_mask[ctl.rejected]) / max(ctl.r, 1)
+            assert (fdp <= gamma) == (ctl_fdp <= gamma)
+        return s_plus
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05, 0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_gridded_statistics_with_ties_and_zero_cuts(self, gamma, delta):
+        # Half-integer statistics give R == R- ties, repeated |k| and, at
+        # delta in the grid, exact-zero cuts.
+        stats = np.random.default_rng(5).integers(-6, 7, size=(300, 12)) * 0.5
+        self._check_rows(stats, delta, DIR, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.25])
+    def test_continuous_statistics(self, gamma):
+        stats = np.random.default_rng(6).normal(0.3, 1.5, size=(200, 40))
+        self._check_rows(stats, 0.0, DIR, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_single_hypothesis(self, gamma):
+        stats = np.array([[-1.0], [0.0], [0.5], [2.0], [-0.0]])
+        self._check_rows(stats, 0.0, DIR, gamma)
+
+    def test_nothing_exceeds_and_everything_is_rejected(self):
+        stats = np.array([[1.0, 2.0, 3.0, 2.0], [-1.0, -2.0, -3.0, -0.5], [0.0, 0.0, 0.0, 0.0]])
+        s_plus = self._check_rows(stats, 0.0, DIR, 0.0)
+        np.testing.assert_array_equal(s_plus, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.25])
+    def test_equivalence_cuts(self, gamma):
+        rng = np.random.default_rng(7)
+        self._check_rows(rng.integers(-8, 9, size=(200, 10)) * 0.25, 1.0, EQU, gamma)
+        self._check_rows(rng.normal(0.0, 1.5, size=(200, 15)), 1.2, EQU, gamma)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(n=10, m=30, pi0=0.6, d=0.3),
+            dict(n=10, m=1, pi0=1.0),
+            dict(n=10, m=20, pi0=0.5, d=0.05, shape=EQU, delta=1.2),
+            dict(n=10, m=25, pi0=0.5, rho=0.5, d=0.4, independent_blocks=True),
+            dict(n=6, m=20, pi0=0.7, rho=0.3, d=0.3, noise="laplace"),
+        ],
+        ids=["directional", "m1", "equivalence", "blocks", "laplace"],
+    )
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.25])
+    def test_coverage_equals_one_control_mfdp_per_replicate(self, spec, gamma):
+        scenario = ScenarioSpec(**spec, replicates=120, seed=8)
+        assert control_coverage(scenario, gamma) == _mfdp_coverage(scenario, gamma)
+
+    def test_blocks_straddling_the_replicates_change_nothing(self, monkeypatch):
+        spec = ScenarioSpec(n=10, m=16, pi0=0.75, rho=0.3, d=0.4, replicates=50, seed=9)
+        one_block = control_coverage(spec, 0.1)
+        # 3 rows per block: 16 full blocks and a last block of 2 rows.
+        monkeypatch.setattr(simulate, "_COVERAGE_BLOCK_CELLS", 3 * spec.m + 1)
+        assert control_coverage(spec, 0.1) == one_block == _mfdp_coverage(spec, 0.1)
+
+
+def _row_digest(table: MetricTable) -> str:
+    """sha256 of the rows with floats as hex, so equal digests mean equal bits."""
+    keys = [
+        (r.cell_id, float(r.pi0).hex(), float(r.rho).hex(), float(r.d).hex(),
+         r.method, r.metric, float(r.value).hex(), float(r.se).hex())
+        for r in table.rows
+    ]
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+def _coverage_digest(reports: list[dict]) -> str:
+    keys = [
+        (float(r["gamma"]).hex(), float(r["coverage"]).hex(), float(r["se"]).hex(), r["replicates"])
+        for r in reports
+    ]
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    """Study rows and coverage reports pinned bit for bit.
+
+    The digests were computed before the replicate loop was restructured
+    (truth cache, SAM-full buffer, block-scanned coverage), so they check
+    that the faster routes reproduce the straightforward ones exactly.
+    """
+
+    MC_STUDY = dict(
+        n=10, m=40, pi0=(0.2, 0.5), rho=0.0, d=(2.0, 3.0),
+        methods=("novel", "novel-randomized", "SAM-2", "SAM-full", "BH", "LR"),
+        t=1.0, gamma=0.1, replicates=20,
+    )
+    SAM_CT_STUDY = dict(
+        n=10, m=8, pi0=0.5, rho=(0.0, 0.3), d=1.0, methods=("novel", "SAM+CT"),
+        t=1.0, gamma=0.1, replicates=4,
+    )
+
+    @pytest.mark.parametrize(
+        "name, seed, digest",
+        [
+            ("MC_STUDY", 5121, "56f59b9b4e77df63e509d77a47959b276b43ffcbfe12ec35b2287829d26d449e"),
+            ("MC_STUDY", 13101, "7bb83de5b53427d59e14bd3dcbcfb503633026eb2db88622dc890ccfb5fe3f50"),
+            ("SAM_CT_STUDY", 5121, "4dec82a06b51397d36ba27cf6ccd9b40f39f711d46aa31a3e51d9777c9c2aeaa"),
+            ("SAM_CT_STUDY", 777, "e1288dbc1f4a9637a905243c9c5981340578e56b88170a65023400a3bd29a293"),
+        ],
+    )
+    def test_study_rows(self, name, seed, digest):
+        table = run_study(StudySpec(**getattr(self, name), seed=seed))
+        assert _row_digest(table) == digest
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (dict(n=10, m=30, pi0=0.6, d=0.5),
+             "557eb6e91621abcbc0b85e3c8cdb94d7eb069716087030f5c74a9a6bc6d7b3dd"),
+            (dict(n=10, m=30, pi0=0.5, d=0.05, shape=EQU, delta=1.5),
+             "69080d2190828545ec84079373c815a81d39f7e1e8262006de80755b16c2dda0"),
+            (dict(n=10, m=100, pi0=1.0, rho=0.5),
+             "7b2daa5577e7e1429ab0e66be7df52c8987325486eb2d640dde8380102ad2772"),
+            (dict(n=10, m=30, pi0=0.5, rho=0.4, d=0.5, independent_blocks=True),
+             "cd35fdc410b6b92a706c7fd51fc22b2b91c3ea27cdb9024af63a40f76ae2cf99"),
+            (dict(n=8, m=30, pi0=0.7, rho=0.2, d=0.4, noise="laplace"),
+             "555290d29835ad79b88357933f92876dd79872a151e327580aa0d659c370745e"),
+        ],
+        ids=["directional", "equivalence", "rho", "independent-blocks", "laplace"],
+    )
+    def test_coverage_reports(self, spec, digest):
+        scenario = ScenarioSpec(**spec, replicates=300, seed=4242)
+        reports = [control_coverage(scenario, gamma) for gamma in (0.0, 0.1, 0.25)]
+        assert _coverage_digest(reports) == digest

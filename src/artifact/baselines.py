@@ -38,7 +38,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import InfeasibleError
+from .core import InfeasibleError, _gamma
 
 __all__ = [
     "TransformationGroup",
@@ -355,9 +355,7 @@ def benjamini_hochberg(pvalues, gamma: float) -> np.ndarray:
     straddle the cut: the set equals the first k of a stable sort.
     """
     p = _validated_pvalues(pvalues)
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    gamma = _gamma(gamma)
     m = p.size
     s = np.sort(p)
     passing = s <= gamma * np.arange(1, m + 1) / m
@@ -369,9 +367,7 @@ def lehmann_romano_critical_values(m: int, gamma: float, alpha: float = 0.5) -> 
     """Step-down critical values alpha*(floor(gamma*i)+1)/(m+floor(gamma*i)+1-i)."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    gamma = _gamma(gamma)
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

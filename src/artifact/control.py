@@ -9,7 +9,10 @@ where M = {0} + {jump points of R or R- in (0, inf)} is the finite scan
 grid, and rejects everything at threshold s+.  Because FDP~ only changes at
 points of M, s+ equals the supremum of all thresholds whose estimate exceeds
 gamma, and by construction FDP~(s+) <= gamma while P(FDP(s+) <= gamma) >= 1/2
-under joint null symmetry with the null block independent of the rest.
+under joint null symmetry with the null block independent of the rest.  The
+scan over M is ``core._control_scan``, which ``simulate.control_coverage``
+runs on blocks of replicates; this module adds the rejection set and the
+estimate at s+.
 
 The p-value transforms turn each statistic/margin pair into a marginal
 p-value that is uniform at the boundary of its null and stochastically
@@ -30,7 +33,8 @@ from typing import Callable
 import numpy as np
 from scipy import special as _sps
 
-from .core import ControlResult, HypothesisShape, StatisticVector, build_profile
+from .core import ControlResult, HypothesisShape, StatisticVector
+from .core import _control_scan, _gamma, _signed_cuts
 from .stats import read_pvalues_csv, write_pvalues_csv  # noqa: F401  (aliases, see above)
 
 __all__ = [
@@ -62,36 +66,18 @@ def control_mfdp(sv: StatisticVector, gamma: float) -> ControlResult:
 
     Notes
     -----
-    The scan grid always contains a final threshold where R is zero, so the
-    estimate there is 0 <= gamma and ``s_plus`` is well defined.
+    The scan is ``core._control_scan``, which ``control_coverage`` shares.
+    Its grid ends at a threshold where R is zero, so ``s_plus`` exists.
     """
-    gamma = float(gamma)
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
-    profile = build_profile(sv)
-    grid, r = profile.thresholds, profile.r_grid
-    v = np.minimum(r, profile.r_minus_grid)
-    fdp = v / np.maximum(r, 1)
-    exceeding = np.flatnonzero(fdp > gamma)
-    if exceeding.size == 0:
-        s = None
-        s_plus_idx = 0
-    else:
-        last = int(exceeding[-1])
-        s = float(grid[last])
-        s_plus_idx = last + 1  # grid is sorted; the estimate at the final
-        # grid point is 0 <= gamma, so last + 1 is always in range
-    s_plus = float(grid[s_plus_idx])
-    rejected = profile.rejected_at(s_plus)
-    return ControlResult(
-        gamma=gamma,
-        s=s,
-        s_plus=s_plus,
-        rejected=rejected,
-        r=int(r[s_plus_idx]),
-        v_tilde=int(v[s_plus_idx]),
-        fdp_hat=float(fdp[s_plus_idx]),
-    )
+    gamma = _gamma(gamma)
+    k = _signed_cuts(sv)
+    exceeds, s, s_plus = _control_scan(k[None], gamma)
+    s_plus = float(s_plus[0])
+    rejected = np.flatnonzero(k > s_plus)
+    r = rejected.size
+    v = min(r, int(np.count_nonzero(-k > s_plus)))
+    s = float(s[0]) if exceeds[0] else None
+    return ControlResult(gamma, s, s_plus, rejected, r, v_tilde=v, fdp_hat=v / max(r, 1))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,15 @@ or beyond the smallest margin reject nothing.  All threshold comparisons are
 performed as ``k > t`` or ``-k > t`` in exact IEEE double arithmetic -- no
 epsilons anywhere.
 
-``build_profile`` sorts the ``|k_j|`` once, labelled by the sign of ``k_j``;
-the distinct values form the scan grid and the cumulative label counts give
-R and R- on it.  Everything that counts rejections or mirrors -- the
-estimators, ``control_mfdp`` and the simulation -- works from these cuts.
+The scan grid has one kernel, ``_grid``: it sorts each row's ``|k_j|``
+once, labelled by the sign of ``k_j``, and the cumulative label counts give
+R and R- at every sorted position; the ends of the runs of equal ``|k|``
+are the grid points.  ``build_profile`` is that grid compressed to its run
+ends.  The control step lives here too, in ``_control_scan``: it finds s
+and s+ on the grid row by row, for one family (``control_mfdp``) or a block
+of Monte Carlo replicates (``control_coverage``).  Everything that counts
+rejections or mirrors -- the estimators, ``control_mfdp`` and the
+simulation -- works from these cuts.
 The closed-testing oracle (``ct_oracle``) re-derives its indicators from the
 defining inequalities on purpose, as an independent check.
 """
@@ -49,6 +54,14 @@ def _read_only(values) -> np.ndarray:
     out = np.asarray(values)
     out.flags.writeable = False
     return out
+
+
+def _gamma(gamma) -> float:
+    """``gamma`` as a float; outside [0, 1) it raises ``ValueError``."""
+    gamma = float(gamma)
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    return gamma
 
 
 class InfeasibleError(Exception):
@@ -159,6 +172,7 @@ class RejectionProfile:
 
     def _at(self, counts: np.ndarray, t):
         # R and R- are defined for t >= 0; a negative t reads the value at 0.
+        _not_nan(t)
         i = np.maximum(np.searchsorted(self.thresholds, t, side="right") - 1, 0)
         return int(counts[i]) if np.ndim(t) == 0 else counts[i]
 
@@ -172,79 +186,73 @@ class RejectionProfile:
 
     def rejected_at(self, t: float) -> np.ndarray:
         """Indices (0-based) of the hypotheses rejected at threshold t."""
+        _not_nan(t)
         return np.flatnonzero(self._k > t)
 
 
-def _sorted_keys(k: np.ndarray) -> np.ndarray:
-    """The cuts along the last axis as sorted uint64 keys, ``|k| << 1 | (k > 0)``.
+def _not_nan(t) -> None:
+    """Raise for a NaN threshold, which would otherwise read as a count."""
+    if np.isnan(t).any():
+        raise ValueError(f"threshold t must not be NaN, got {t}")
 
-    Non-negative doubles order like their bit patterns, so |k| shifted up
-    one bit, with the label in the freed low bit, sorts as one uint64 key.
-    An extra leading zero key puts the grid's first point, 0, in front.
+
+def _grid(k: np.ndarray):
+    """The scan grid of the cuts along the last axis, at every sorted position.
+
+    Returns the sorted |k| as float64 behind a leading 0, R and R- at each
+    position, and a mask of the run ends of equal |k|: the grid points,
+    where R and R- are the counts at that threshold.  A non-negative double
+    orders like its uint64 bit pattern, so |k| shifted up one bit, with the
+    label ``k > 0`` in the low bit, sorts as one key.  Zero cuts fall in the
+    first grid point, 0, and so count towards neither R nor R-.
     """
-    key = np.zeros(k.shape[:-1] + (k.shape[-1] + 1,), dtype=np.uint64)
+    m = k.shape[-1]
+    key = np.zeros(k.shape[:-1] + (m + 1,), dtype=np.uint64)
     np.abs(k, out=key[..., 1:].view(np.float64))
     key <<= 1
     key[..., 1:] |= k > 0.0
     key.sort(axis=-1)
-    return key
+    r = (key & 1).view(np.intp)
+    np.cumsum(r, axis=-1, out=r)  # positive cuts up to each position
+    key >>= 1
+    run_end = np.empty(key.shape, dtype=bool)
+    np.not_equal(key[..., 1:], key[..., :-1], out=run_end[..., :-1])
+    run_end[..., -1] = True
+    # Of the j + 1 keys up to position j, the leading zero key among them,
+    # j - r[j] are nonpositive cuts, so R- = (m - n_pos) - (j - r[j]).  The
+    # counts are updated in place to keep the peak memory low.
+    n_pos = r[..., -1:].copy()
+    r_minus = np.arange(m, -1, -1) - n_pos
+    r_minus += r
+    np.subtract(n_pos, r, out=r)
+    return key.view(np.float64), r, r_minus, run_end
 
 
 def build_profile(sv: StatisticVector) -> RejectionProfile:
-    """Build the step-function profile (R, R-) for a statistic vector.
-
-    One sort of the ``|k_j|`` (see :func:`_signed_cuts`), each labelled by
-    whether ``k_j > 0``, gives the grid; the cumulative count of each label
-    up to a grid point gives R and R- there.  Zero cuts fall in the grid's
-    first point, 0, and so count towards neither R nor R-.
-    """
+    """The profile (R, R-) of a statistic vector: its :func:`_grid` at the run ends."""
     k = _signed_cuts(sv)
-    key = _sorted_keys(k)
-    positive = np.cumsum(key & 1, dtype=np.intp)  # positive cuts up to each position
-    key >>= 1
-    last = np.flatnonzero(np.append(key[1:] != key[:-1], True))  # end of each distinct |k|
-    # The arrays are updated in place, or rebound, to keep the peak memory
-    # of large families near that of the finished profile.
-    positive = positive[last]
-    n_pos = positive[-1]
-    thresholds = key[last].view(np.float64)
-    r_grid = n_pos - positive
-    last -= positive  # nonpositive cuts up to each grid point
-    return RejectionProfile(
-        thresholds=thresholds,
-        r_grid=r_grid,
-        r_minus_grid=(k.size - n_pos) - last,
-        _k=k,
-    )
+    t, r, r_minus, run_end = _grid(k)
+    return RejectionProfile(t[run_end], r[run_end], r_minus[run_end], _k=k)
 
 
-def _scan_s_plus(k: np.ndarray, gamma: float) -> np.ndarray:
-    """``control_mfdp``'s ``s_plus`` for each row of an (R, m) block of cuts.
+def _control_scan(k: np.ndarray, gamma: float):
+    """``control_mfdp``'s scan of each row of an (R, m) block of cuts.
 
-    The row-wise form of :func:`build_profile` and the control scan: the
-    grid points are the ends of the runs of equal ``|k|`` in each row's
-    sorted keys, and the FDP estimate min(R, R-) / max(R, 1) is read there.
-    ``s_plus`` is the grid point after the last one whose estimate exceeds
-    ``gamma``, which is the ``|k|`` just past that run, or 0 when no
-    estimate exceeds it.
+    Returns, per row, whether the estimate min(R, R-) / max(R, 1) exceeds
+    ``gamma`` at any grid point; s, the last grid point where it does; and
+    s+, the grid point after s (0 when nothing exceeds).
     """
-    key = _sorted_keys(k)
-    m = k.shape[1]
-    positive = np.cumsum(key & 1, axis=1, dtype=np.intp)
-    n_pos = positive[:, -1:]
-    key >>= 1
-    run_end = np.ones(key.shape, dtype=bool)
-    np.not_equal(key[:, 1:], key[:, :-1], out=run_end[:, :-1])
-    r = n_pos - positive
-    # Positions 0..j hold j + 1 keys, the leading zero key among them, so
-    # j - positive[j] of them are nonpositive cuts.
-    r_minus = (m - n_pos) - (np.arange(m + 1) - positive)
-    exceeding = run_end & (np.minimum(r, r_minus) / np.maximum(r, 1) > gamma)
-    # The final grid point rejects nothing, so the last exceeding run ends
-    # before position m and the next run starts inside the row.
-    last = m - np.argmax(exceeding[:, ::-1], axis=1)
-    s_plus = key[np.arange(key.shape[0]), np.minimum(last + 1, m)].view(np.float64)
-    return np.where(exceeding.any(axis=1), s_plus, 0.0)
+    t, r, r_minus, run_end = _grid(k)
+    np.minimum(r, r_minus, out=r_minus)
+    np.maximum(r, 1, out=r)
+    exceeding = np.divide(r_minus, r) > gamma
+    exceeding &= run_end
+    # The last position (R = 0) never exceeds, so ``back``, the distance of
+    # the last exceeding one from the row's end, is 0 only when none does.
+    # s+ starts the next run, at index -back; for back = 0 that wraps to 0.
+    back = np.argmax(exceeding[:, ::-1], axis=1)
+    rows = np.arange(k.shape[0])
+    return back > 0, t[rows, -1 - back], t[rows, -back]
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,7 +67,7 @@ from .control import (
     directional_pvalues,
     equivalence_pvalues,
 )
-from .core import HypothesisShape, InfeasibleError, StatisticVector, _cuts, _scan_s_plus
+from .core import HypothesisShape, InfeasibleError, StatisticVector, _control_scan, _cuts, _gamma
 from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
 from .estimators import (
     CoinSource,
@@ -372,9 +372,7 @@ class StudySpec:
         t = _real("t", self.t)
         if not np.isfinite(t) or t < 0.0:
             raise ValueError(f"t must be finite and >= 0, got {t}")
-        gamma = _real("gamma", self.gamma)
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+        gamma = _gamma(_real("gamma", self.gamma))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gamma", gamma)
         # Validate the scenario parameters, the seed among them, once via a
@@ -550,13 +548,22 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     # Study statistics are sqrt(n) * column means: under a sign flip, (signs @ data) * scale.
     scale = math.sqrt(spec.n) / spec.n
 
-    full_group = TransformationGroup.sign_flip_full(spec.n) if "SAM-full" in methods else None
-    if full_group is not None:
-        # The sign-flipped statistics of every replicate go into one buffer;
-        # _sam_estimate keeps nothing of it.
-        full_signs = full_group.signs.astype(np.float64)
-        full_stats = np.empty((full_group.size, spec.m))
-    ct_group = _sam_ct_group(spec) if "SAM+CT" in methods else None
+    groups = {}
+    if "SAM-full" in methods:
+        groups["SAM-full"] = TransformationGroup.sign_flip_full(spec.n)
+    if "SAM+CT" in methods:
+        groups["SAM+CT"] = _sam_ct_group(spec)
+    # One float64 cast of each group's signs and one buffer per cell for every
+    # replicate's statistics; neither _sam_estimate nor the SAM+CT table keeps it.
+    flips = {
+        name: (g.signs.astype(np.float64), np.empty((g.size, spec.m))) for name, g in groups.items()
+    }
+
+    def flipped(name: str, data: np.ndarray) -> np.ndarray:
+        signs, out = flips[name]
+        np.matmul(signs, data, out=out)
+        out *= scale
+        return out
 
     # Per method, each metric's per-replicate values, keyed in output order.
     values: dict[str, dict[str, list]] = {name: defaultdict(list) for name in methods}
@@ -599,13 +606,11 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 metrics["p_fdp_le_estimate"].append((not rnd.floored) and rnd_true <= rnd.v_tilde)
                 metrics["floor_rate"].append(rnd.floored)
             elif name == "SAM-full":
-                np.matmul(full_signs, data, out=full_stats)
-                full_stats *= scale
-                sam = _sam_estimate(full_stats, full_group, t, 0.5)
+                sam = _sam_estimate(flipped(name, data), groups[name], t, 0.5)
                 metrics["mean_fdp_estimate"].append(sam.fdp_bar)
                 metrics["p_fdp_le_estimate"].append(truth.false_count(sam.rejected) <= sam.v_bar)
             elif name == "SAM+CT":
-                family = LocalTestFamily._sam_from_statistics((ct_group.signs @ data) * scale, t, 0.5)
+                family = LocalTestFamily._sam_from_statistics(flipped(name, data), t, 0.5)
                 closure = run_closure(family)
                 mask = indices_to_mask(est.rejected)
                 bound = closure.t_alpha(mask) if mask else 0
@@ -661,9 +666,7 @@ def control_coverage(spec: ScenarioSpec, gamma: float) -> dict:
     thresholds, rejections and result as one ``control_mfdp`` call per
     replicate.
     """
-    gamma = float(gamma)
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+    gamma = _gamma(gamma)
     hits = np.empty(spec.replicates, dtype=bool)
     block_rows = max(1, _COVERAGE_BLOCK_CELLS // spec.m)
     for start in range(0, spec.replicates, block_rows):
@@ -673,7 +676,7 @@ def control_coverage(spec: ScenarioSpec, gamma: float) -> dict:
             sv, truth = generate_statistics(spec, rep)
             row[:] = sv.statistics
         k = _cuts(block, sv.margins, spec.shape)
-        rejected = k > _scan_s_plus(k, gamma)[:, None]
+        rejected = k > _control_scan(k, gamma)[2][:, None]
         v = np.count_nonzero(rejected & truth.null_mask, axis=1)
         r = np.count_nonzero(rejected, axis=1)
         hits[reps.start : reps.stop] = v / np.maximum(r, 1) <= gamma

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,159 @@ def test_control_and_profile_match_literal_scan(family):
     assert res.r == len(want["rejected"])
     assert res.v_tilde == want["v_tilde"]
     assert res.fdp_hat == want["fdp_hat"]
+
+
+# ---------------------------------------------------------------------------
+# Pinned results
+# ---------------------------------------------------------------------------
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _control_digest(res) -> str:
+    """sha256 of a ControlResult: every field, its type, and floats as hex."""
+    keys = (
+        type(res.gamma).__name__, _hex(res.gamma), _hex(res.s), _hex(res.s_plus),
+        res.rejected.dtype.str, res.rejected.tobytes().hex(), type(res.r).__name__, res.r,
+        type(res.v_tilde).__name__, res.v_tilde, type(res.fdp_hat).__name__, _hex(res.fdp_hat),
+    )
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+def _profile_digest(profile) -> str:
+    """sha256 of a profile's arrays: dtype, shape and bytes of each."""
+    h = hashlib.sha256()
+    for a in (profile.thresholds, profile.r_grid, profile.r_minus_grid, profile._k):
+        h.update(a.dtype.str.encode())
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _pinned_families():
+    rng = np.random.default_rng(1501)
+    yield "dir-continuous", _sv(rng.normal(0.5, 1.5, 60), 0.25)
+    yield "equ-clipped", _sv(rng.normal(0.0, 1.2, 60), rng.uniform(0.5, 2.0, 60), shape=EQU)
+    yield "dir-half-ties", _sv(rng.integers(-6, 7, 80) * 0.5, 0.5)
+    yield "equ-half-ties", _sv(rng.integers(-8, 9, 80) * 0.25, 1.0, shape=EQU)
+    yield "dir-zero-cuts", _sv(np.full(7, 1.5), 1.5)
+    yield "equ-zero-cuts", _sv([1.0, -1.0, 1.0, -2.0, 0.5], 1.0, shape=EQU)
+    for v in (-1.0, 0.0, 0.5, -0.0):
+        yield f"m1-{v}", _sv([v], 0.0)
+    yield "m1-equ", _sv([0.25], 1.0, shape=EQU)
+    rng = np.random.default_rng(1502)
+    shifted = rng.normal(0.0, 1.0, 100_000) + (rng.random(100_000) < 0.2) * 3.0
+    yield "dir-1e5", _sv(shifted, 0.0)
+    yield "equ-1e5", _sv(rng.normal(0.0, 1.0, 100_000) * 1.5, 1.0, shape=EQU)
+
+
+class TestPinnedDigests:
+    """control_mfdp results and build_profile arrays pinned bit for bit.
+
+    The digests were computed before control_mfdp and build_profile were
+    moved onto one row-wise scan kernel, so they check that the kernel
+    reproduces the per-family profile route exactly: ``s`` (None
+    included), the sign of ``s_plus``, the rejected indices, the integer
+    counts and ``fdp_hat`` as a Python float.  The families cover
+    directional and clipped equivalence cuts, half-integer ties, exact-zero
+    cuts, m = 1 and m = 10^5, at gamma 0, 0.1 and 0.25.
+    """
+
+    PROFILE = {
+        "dir-continuous": "2b8d372776a63104549f555524ff969b1dd7f147504edbcdbd1a5bd0a9fd414d",
+        "equ-clipped": "9c144d5b7ac827fc5c9c19978cf832d02aa0469533a50810291c2b2eba25d6d8",
+        "dir-half-ties": "d0f79248b7231cd7c49980c367cbf8c6a38a988c41554f8469bbc18e30a409cc",
+        "equ-half-ties": "5cd7313def13f6f76b5473100625c82776ba6c3e2a30f09116c20654901df430",
+        "dir-zero-cuts": "8d90785f943fa6560fc6e7f468b8bd5dce06c70f75f5bc72d31d6e86bebffa3b",
+        "equ-zero-cuts": "3546af7b8c224609978c901d900ab2811047005a920b10ede876f4abf14ecfbf",
+        "m1--1.0": "381edd9b091146391057ad428032292f335db482466a6dc4cb0aa0171f0b3d08",
+        "m1-0.0": "f3562699320c935b4050e7e6514e1cd27b69d72385b002e5f8075300b16c3318",
+        "m1-0.5": "59e9d4c3b68159cb527ae25250800adf6dcf0579d1f0fc8855136d8b8b5463e2",
+        "m1--0.0": "5e95fe61e60d52a479ffca5f8905e92026e6c0fa38ef1a9c85055f08f97c2ef1",
+        "m1-equ": "2cb394cefc126f8faed8fd72375d743e2a35d6afe4e77a01b01df147dcc69fcb",
+        "dir-1e5": "31e61a085d0ebb6744d2fc8ddb6ac055ba7b7433269928561c75932e7df673a6",
+        "equ-1e5": "099dd54d874970a364527f0f31d3bb844074af66663a3fb3149bf1d2fcefbcb7",
+    }
+    CONTROL = {  # at gamma 0, 0.1 and 0.25
+        "dir-continuous": (
+            "90083f818b01919e3924ae9de5a10d62b5e282c0f141b2a4ce98cb277955a0b7",
+            "f0d15ae1550744fef26294707a245844afffb67a4ebe2d6614f76809c2db12e1",
+            "dbd8f8a8b430144228b638c4e142ea328fcf87aa3af9f2a752e98c417e6b3173",
+        ),
+        "equ-clipped": (
+            "3e8d63a30bf08a35875918d48dd0987533d86c7ad88d0330d9656db562c82b2f",
+            "8dcb3d37e974774c42b074f20369e2733435ec8671900b2cf4b1cbd402b285c9",
+            "ead31050eff2381db7444866eb0c3bc23c98e1991206fdb944cf9b425a88b8f2",
+        ),
+        "dir-half-ties": (
+            "3a5578d2d8f353ed0283f88ae177072feff941c045cd2d0ee61ea32ec8026a01",
+            "e73fef6876df9cf1c7052e06af3b4e0b9a5613fd73a3f6e99ab96c9a479e3f89",
+            "e5d4de4e18b5d1a195cd4e0d567e6b2dad97e956569fdbbdb30f007ca9167648",
+        ),
+        "equ-half-ties": (
+            "5a5beebac81c625f84a0ba924d8ff3501939d37af07855830367f67be49831f6",
+            "285c1f77925fc9da06672f379f7779810e4a6d5200aa7845f647c314a5020d69",
+            "bff3b60aaf5a61589b7ac2df2382bfc1135dd8bd3509a0e668cc550d68535e27",
+        ),
+        "dir-zero-cuts": (
+            "838ea29ebc5a34cf56d71bec57071388da5bb5778348642fc148622dc3b45189",
+            "916e439b630c27becaf57015ae7ccdf85fe153053d3297edce154e1c138296e5",
+            "3f5f54d9d52145a26458b7334000316bbddb4d7d64c9e7768a93f9f7ce55cc24",
+        ),
+        "equ-zero-cuts": (
+            "e72c3b1c8e231cbd70f6f8fddb23c0a3c09a241f867767a71023cab4ebeede17",
+            "8a7e084b0ca4ab9445b2c2a5163105dc5195c8a3e6cf11bfca450d641308ca7a",
+            "6fdd955088e8ff21639b47acd34cfd90a9756dfd96c8b86bbfa8607c1c46d705",
+        ),
+        "m1--1.0": (
+            "838ea29ebc5a34cf56d71bec57071388da5bb5778348642fc148622dc3b45189",
+            "916e439b630c27becaf57015ae7ccdf85fe153053d3297edce154e1c138296e5",
+            "3f5f54d9d52145a26458b7334000316bbddb4d7d64c9e7768a93f9f7ce55cc24",
+        ),
+        "m1-0.0": (
+            "838ea29ebc5a34cf56d71bec57071388da5bb5778348642fc148622dc3b45189",
+            "916e439b630c27becaf57015ae7ccdf85fe153053d3297edce154e1c138296e5",
+            "3f5f54d9d52145a26458b7334000316bbddb4d7d64c9e7768a93f9f7ce55cc24",
+        ),
+        "m1-0.5": (
+            "05440089ac2dfb666ff3eca5fee3b50c8ee3e9ddcd0f80ffb311b77ba56f4eaa",
+            "ef9c74ce202574f405d26821d2eb98b39677f65a757d8370af5ad804e5fb324b",
+            "ccd19c3d8c67724daab70465595ad8580a08abd8bcad3fa267a5a810eef1443d",
+        ),
+        "m1--0.0": (
+            "838ea29ebc5a34cf56d71bec57071388da5bb5778348642fc148622dc3b45189",
+            "916e439b630c27becaf57015ae7ccdf85fe153053d3297edce154e1c138296e5",
+            "3f5f54d9d52145a26458b7334000316bbddb4d7d64c9e7768a93f9f7ce55cc24",
+        ),
+        "m1-equ": (
+            "05440089ac2dfb666ff3eca5fee3b50c8ee3e9ddcd0f80ffb311b77ba56f4eaa",
+            "ef9c74ce202574f405d26821d2eb98b39677f65a757d8370af5ad804e5fb324b",
+            "ccd19c3d8c67724daab70465595ad8580a08abd8bcad3fa267a5a810eef1443d",
+        ),
+        "dir-1e5": (
+            "f73ac52157733c2f54cd85d35eb4cccaad4bda9aed35fee4211c472bb7cc9ba8",
+            "abdaed4df7ef81cdba74b9f2562e43c8164aa93282329de653e95ac5d9607ca9",
+            "1ea542c602395852c613be8e403a91a2eff0d377da4bb6b8fe30e4d5008c0199",
+        ),
+        "equ-1e5": (
+            "cf542c65f9fc651b9a93d51bd8c355b20a5afc0f90878326d568c479236f8d50",
+            "9e9799c0c69133d19bf8a34a35a26d91673053aa88411db6807b2ddc4db55834",
+            "4a5344095ba90e214f8bb52336b37dab11c49185775a7e42b58dfe7a8301b869",
+        ),
+    }
+
+    def test_names_cover_the_families(self):
+        names = [name for name, _ in _pinned_families()]
+        assert names == list(self.PROFILE) == list(self.CONTROL)
+
+    @pytest.mark.parametrize("name", list(PROFILE))
+    def test_profile_and_control(self, name):
+        sv = dict(_pinned_families())[name]
+        assert _profile_digest(build_profile(sv)) == self.PROFILE[name]
+        got = [_control_digest(control_mfdp(sv, gamma)) for gamma in (0.0, 0.1, 0.25)]
+        assert got == list(self.CONTROL[name])
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,14 @@ class TestDirectionalProfile:
         np.testing.assert_array_equal(profile.r(ts), [int(profile.r(t)) for t in ts])
         np.testing.assert_array_equal(profile.r_minus(ts), [int(profile.r_minus(t)) for t in ts])
 
+    @pytest.mark.parametrize("t", [np.nan, np.float64(np.nan), np.array([0.5, np.nan])])
+    def test_nan_threshold_raises(self, profile, t):
+        # NaN compares false with every grid point, so unchecked it would
+        # read as the count past the grid's end (0) and reject nothing.
+        for method in (profile.r, profile.r_minus, profile.rejected_at):
+            with pytest.raises(ValueError, match="NaN"):
+                method(t)
+
     def test_nonzero_margins_shift_cuts(self):
         profile = build_profile(_sv([3.0, -2.5, 0.5, 4.0], [1.0, 0.0, 0.25, 2.0]))
         # cuts become T - delta = (2.0, -2.5, 0.25, 2.0)

@@ -30,8 +30,9 @@ from artifact import (
     sam_bound,
 )
 from artifact import simulate
-from artifact.core import _cuts, _scan_s_plus
+from artifact.core import _control_scan, _cuts
 from artifact.simulate import STUDY_METHODS, study_statistics
+from test_control import _literal_scan
 
 DIR = HypothesisShape.DIRECTIONAL
 EQU = HypothesisShape.EQUIVALENCE
@@ -543,14 +544,18 @@ def _mfdp_coverage(spec: ScenarioSpec, gamma: float) -> dict:
 
 
 class TestCoverageBlockScan:
-    """The block scan of control_coverage against control_mfdp, row by row."""
+    """The block scan of control_coverage against control_mfdp, row by row.
+
+    Both run the one kernel, ``core._control_scan``, so every row is also
+    checked against the literal O(m^2) scan of ``tests/test_control.py``.
+    """
 
     def _check_rows(self, stats: np.ndarray, delta: float, shape, gamma: float):
         sv0 = StatisticVector(stats[0], delta, shape)
         k = _cuts(stats, sv0.margins, shape)
-        s_plus = _scan_s_plus(k, gamma)
+        exceeds, s_at, s_plus = _control_scan(k, gamma)
         null_mask = np.random.default_rng(stats.shape[1]).random(stats.shape[1]) < 0.5
-        for row, k_row, s in zip(stats, k, s_plus):
+        for row, k_row, e, s_row, s in zip(stats, k, exceeds, s_at, s_plus):
             ctl = control_mfdp(StatisticVector(row, delta, shape), gamma)
             assert s == ctl.s_plus
             assert np.signbit(s) == np.signbit(ctl.s_plus)
@@ -559,6 +564,10 @@ class TestCoverageBlockScan:
             fdp = np.count_nonzero(null_mask[rejected]) / max(rejected.size, 1)
             ctl_fdp = np.count_nonzero(null_mask[ctl.rejected]) / max(ctl.r, 1)
             assert (fdp <= gamma) == (ctl_fdp <= gamma)
+            want = _literal_scan(row.tolist(), sv0.margins.tolist(), shape, gamma)
+            assert (s_row if e else None) == want["s"]
+            assert s == want["s_plus"]
+            assert rejected.tolist() == want["rejected"]
         return s_plus
 
     @pytest.mark.parametrize("gamma", [0.0, 0.05, 0.1, 0.25, 0.5])

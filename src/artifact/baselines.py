@@ -329,7 +329,7 @@ def _validated_pvalues(pvalues) -> np.ndarray:
     p = np.atleast_1d(np.asarray(pvalues, dtype=np.float64))
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pvalues must be a non-empty 1-d array")
-    if np.any(~np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("pvalues must all lie in [0, 1]")
     return p
 

@@ -17,12 +17,11 @@ estimate at s+.
 The p-value transforms turn each statistic/margin pair into a marginal
 p-value that is uniform at the boundary of its null and stochastically
 larger inside it, given a model for the null density of ``T_j - mu_j``
-(symmetric around zero).  They exist so the rejection counts can feed
-mean-FDP style procedures that consume p-values; building any particular
-bound from them is out of scope here.  Their ``index,pvalue`` file format
-lives in :mod:`artifact.stats`, which exports ``read_pvalues_csv`` and
-``write_pvalues_csv``; they are imported here as aliases of the same
-functions, not exported again.
+(symmetric around zero), for mean-FDP procedures that consume p-values.
+For the built-in densities the equivalence p-value is one pass,
+``F(|T_j| - delta_j)``; a ``user`` CDF keeps the branch on the sign of T_j.
+Their ``index,pvalue`` file format lives in :mod:`artifact.stats`, whose
+readers and writers are imported here as aliases, not exported again.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ControlResult, HypothesisShape, StatisticVector
-from .core import _control_scan, _gamma, _signed_cuts
+from .core import _control_scan, _gamma, _read_only, _signed_cuts
 from .stats import read_pvalues_csv, write_pvalues_csv  # noqa: F401  (aliases, see above)
 
 __all__ = [
@@ -75,7 +74,7 @@ def control_mfdp(sv: StatisticVector, gamma: float) -> ControlResult:
     s_plus = float(s_plus[0])
     rejected = np.flatnonzero(k > s_plus)
     r = rejected.size
-    v = min(r, int(np.count_nonzero(-k > s_plus)))
+    v = min(r, int(np.count_nonzero(k < -s_plus)))
     s = float(s[0]) if exceeds[0] else None
     return ControlResult(gamma, s, s_plus, rejected, r, v_tilde=v, fdp_hat=v / max(r, 1))
 
@@ -97,8 +96,7 @@ class NullDensitySpec:
     def __post_init__(self):
         if self.family not in ("standard-normal", "scaled-normal", "student-t", "user"):
             raise ValueError(
-                f"unknown null density family {self.family!r}; "
-                "use the classmethod constructors"
+                f"unknown null density family {self.family!r}; use the classmethod constructors"
             )
         if self.family == "user" and not callable(self.cdf):
             raise TypeError("family 'user' needs a callable cdf; use from_cdf")
@@ -156,10 +154,9 @@ class PValueVector:
 
     def __post_init__(self):
         vals = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if np.any(~np.isfinite(vals)) or np.any(vals < 0.0) or np.any(vals > 1.0):
+        if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise ValueError("p-values must all lie in [0, 1]")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(vals))
 
 
 def directional_pvalues(sv: StatisticVector, null: NullDensitySpec) -> PValueVector:
@@ -171,23 +168,26 @@ def directional_pvalues(sv: StatisticVector, null: NullDensitySpec) -> PValueVec
     if sv.shape is not HypothesisShape.DIRECTIONAL:
         raise ValueError("directional_pvalues requires a directional statistic vector")
     p = null.sf_at(sv.statistics - sv.margins)
-    return PValueVector(values=np.clip(p, 0.0, 1.0), shape=sv.shape)
+    return PValueVector(values=np.clip(p, 0.0, 1.0, out=p), shape=sv.shape)
 
 
 def equivalence_pvalues(sv: StatisticVector, null: NullDensitySpec) -> PValueVector:
     """Equivalence p-values, uniform at ``|mu_j| = delta_j``.
 
-    Piecewise by the sign of the statistic::
-
-        P_j = 1 - F_j(T_j + delta_j)   if T_j < 0,
-        P_j = F_j(T_j - delta_j)       otherwise.
-
-    Both branches agree at T_j = 0 for a symmetric null density.
+    ``P_j = 1 - F_j(T_j + delta_j)`` if ``T_j < 0``, else ``F_j(T_j - delta_j)``.
+    For the built-in families this is one pass, ``F_j(|T_j| - delta_j)``, bit
+    for bit: their ``1 - F(x)`` is ``F(-x)``, and negation commutes with IEEE
+    rounding, so ``-(T_j + delta_j)`` is ``|T_j| - delta_j`` for ``T_j < 0``.
+    A ``user`` CDF keeps the two branches: its symmetry is the caller's claim.
     """
     if sv.shape is not HypothesisShape.EQUIVALENCE:
         raise ValueError("equivalence_pvalues requires an equivalence statistic vector")
-    neg = sv.statistics < 0.0
-    p = np.empty(sv.m, dtype=np.float64)
-    p[neg] = null.sf_at(sv.statistics[neg] + sv.margins[neg])
-    p[~neg] = null.cdf_at(sv.statistics[~neg] - sv.margins[~neg])
-    return PValueVector(values=np.clip(p, 0.0, 1.0), shape=sv.shape)
+    x = np.abs(sv.statistics) - sv.margins
+    if null.family != "user":
+        p = null.cdf_at(x)
+    else:
+        neg = sv.statistics < 0.0
+        p = np.empty_like(x)
+        p[neg] = null.sf_at(sv.statistics[neg] + sv.margins[neg])
+        p[~neg] = null.cdf_at(x[~neg])
+    return PValueVector(values=np.clip(p, 0.0, 1.0, out=p), shape=sv.shape)

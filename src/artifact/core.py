@@ -15,8 +15,9 @@ Every hypothesis is reduced once to a single *signed cut* ``k_j`` (see
 ``T_j - delta_j`` for a directional family, and ``min(delta_j - |T_j|, c)``
 with ``c = min_j delta_j`` for an equivalence family, so that thresholds at
 or beyond the smallest margin reject nothing.  All threshold comparisons are
-performed as ``k > t`` or ``-k > t`` in exact IEEE double arithmetic -- no
-epsilons anywhere.
+performed as ``k > t`` or ``k < -t`` (the mirror ``-k > t`` without a negated
+copy of k; negation is exact) in exact IEEE double arithmetic -- no epsilons
+anywhere.
 
 The scan grid has one kernel, ``_grid``: it sorts each row's ``|k_j|``
 once, labelled by the sign of ``k_j``, and the cumulative label counts give

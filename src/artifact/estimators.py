@@ -58,14 +58,14 @@ class CoinSource:
 
 
 def _cuts_at(sv: StatisticVector, t: float, shape: HypothesisShape, what: str):
-    """Checked threshold, rejected indices and mirror mask ``-k > t``."""
+    """Checked threshold, rejected indices and mirror mask ``-k > t`` (as ``k < -t``)."""
     if sv.shape is not shape:
         raise ValueError(f"{what} requires a {shape.value} statistic vector, got {sv.shape.value}")
     t = float(t)
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"threshold t must be finite and >= 0, got {t}")
     k = _signed_cuts(sv)
-    return t, np.flatnonzero(k > t), -k > t
+    return t, np.flatnonzero(k > t), k < -t
 
 
 def _estimate(estimator: str, t: float, rejected: np.ndarray, r_minus: int, **extra) -> FdpEstimate:

@@ -432,6 +432,18 @@ class TestBenjaminiHochberg:
             benjamini_hochberg([], gamma=0.1)
 
 
+@pytest.mark.parametrize("procedure", [benjamini_hochberg, lehmann_romano_stepdown])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0), -5e-324])
+def test_pvalue_range_check_rejects_non_finite_and_barely_outside(procedure, bad):
+    with pytest.raises(ValueError, match=r"^pvalues must all lie in \[0, 1\]$"):
+        procedure([0.5, bad, 0.25], gamma=0.1)
+
+
+@pytest.mark.parametrize("procedure", [benjamini_hochberg, lehmann_romano_stepdown])
+def test_pvalue_range_check_accepts_both_ends(procedure):
+    assert procedure([-0.0, 1.0], gamma=0.1).size == 1
+
+
 # ---------------------------------------------------------------------------
 # Lehmann-Romano step-down
 # ---------------------------------------------------------------------------

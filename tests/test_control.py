@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -535,6 +536,205 @@ class TestEquivalencePvalues:
         with pytest.raises(ValueError, match="equivalence"):
             equivalence_pvalues(_sv([1.0], 0.0), NullDensitySpec.standard_normal())
 
+    def test_peak_memory_stays_below_two_and_a_half_arrays(self):
+        m = 100_000
+        sv = _sv(np.random.default_rng(1603).normal(0.0, 1.5, m), 1.0, shape=EQU)
+        null = NullDensitySpec.standard_normal()
+        equivalence_pvalues(sv, null)
+        tracemalloc.start()
+        try:
+            equivalence_pvalues(sv, null)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * m
+
+
+# ---------------------------------------------------------------------------
+# Pinned p-values
+# ---------------------------------------------------------------------------
+
+
+def _logistic_cdf(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+_PVALUE_NULLS = {
+    "standard-normal": NullDensitySpec.standard_normal(),
+    "scaled-normal-0.7": NullDensitySpec.scaled_normal(0.7),
+    "student-t-3": NullDensitySpec.student_t(3.0),
+    "student-t-18": NullDensitySpec.student_t(18.0),
+    "user-logistic": NullDensitySpec.from_cdf(_logistic_cdf),
+}
+
+
+def _pvalue_statistics(rng, m):
+    """Quarter-integer ties, both zeros and a few far tails, then continuous values."""
+    stats = rng.normal(0.0, 2.0, m)
+    stats[: m // 2] = rng.integers(-12, 13, m // 2) * 0.25
+    stats[: min(m, 8)] = [0.0, -0.0, 1.0, -1.0, 40.0, -40.0, 0.25, -0.25][: min(m, 8)]
+    return stats
+
+
+def _pinned_pvalue_families():
+    rng = np.random.default_rng(1601)
+    for shape, tag in ((DIR, "dir"), (EQU, "equ")):
+        stats = _pvalue_statistics(rng, 400)
+        yield f"{tag}-scalar", _sv(stats.copy(), 1.0, shape=shape)
+        margins = rng.uniform(0.25, 2.0, 400)
+        stats[8:40] = margins[8:40] * rng.choice([-1.0, 1.0], 32)  # |T| == delta exactly
+        yield f"{tag}-per-hypothesis", _sv(stats, margins, shape=shape)
+        for v in (-1.0, -0.0, 0.0):
+            yield f"{tag}-m1-{v}", _sv([v], 1.0, shape=shape)
+        yield f"{tag}-1e5", _sv(_pvalue_statistics(rng, 100_000), 0.75, shape=shape)
+
+
+def _pvalue_digest(pv) -> str:
+    """sha256 of a PValueVector's values: dtype, shape and bytes."""
+    h = hashlib.sha256()
+    h.update(pv.values.dtype.str.encode())
+    h.update(repr(pv.values.shape).encode())
+    h.update(pv.values.tobytes())
+    return h.hexdigest()
+
+
+def _pvalues(sv, null):
+    transform = directional_pvalues if sv.shape is DIR else equivalence_pvalues
+    return transform(sv, null)
+
+
+def _two_branch_equivalence(sv, null):
+    """The literal piecewise definition: 1 - F(T + delta) if T < 0, else F(T - delta)."""
+    neg = sv.statistics < 0.0
+    p = np.empty(sv.m, dtype=np.float64)
+    p[neg] = null.sf_at(sv.statistics[neg] + sv.margins[neg])
+    p[~neg] = null.cdf_at(sv.statistics[~neg] - sv.margins[~neg])
+    return np.clip(p, 0.0, 1.0)
+
+
+class TestPinnedPvalues:
+    """Directional and equivalence p-values pinned bit for bit.
+
+    The digests were computed with the two-branch equivalence route (one
+    call per sign of T), before it became one pass over ``|T| - delta``.
+    They cover the four built-in nulls and a user CDF (logistic),
+    quarter-integer ties, both signed zeros, ``|T| == delta`` exactly,
+    far tails that clip, scalar and per-hypothesis margins, m = 1 and
+    m = 10^5.
+    """
+
+    DIGESTS = {  # family -> one digest per null, in _PVALUE_NULLS order
+        "dir-scalar": (
+            "da31eeddcd5f947b18f5dd8062e710886e759a9054631cd5c75dff7ad1a3675b",
+            "711e4fa7cedb5ad8d5c0155e2044766cb41c5248c61ad5a399a24045b4148f9f",
+            "e18e3e10da87eb4ba2c37184f361909a450f4ede674fc9e0e19f19f66f86e3bf",
+            "9da8accc094a74d633b34a72d590cc861a9b8480f794fe0a387a6844b096bf19",
+            "a6869e40e58c1f44d7971f511f71924e489b9f6de1eef1248fd52607793a2467",
+        ),
+        "dir-per-hypothesis": (
+            "c48f5f0bc0c3ba2f3a63ebf17b736640244a01c6c50fa1aca351f935854cd222",
+            "075aebf9084075cb471b7184cadc35b28f737183e2d336ace9002e9ee6ce376b",
+            "648f2a944f35e064868291eb64ed0db3bc61a02f08d3c9b28959b1bb8afae873",
+            "4c67499efde604f914d5179472c680342853b65eeb336162426604b4b36f6fa1",
+            "1918a0392da35d84d32a72924eaccbc80dc0b1a9c4208b65e89e37e34b02517a",
+        ),
+        "dir-m1--1.0": (
+            "ed60d7ce3942ea2108b29323da9213cb839d7eeafdecb199e946003113943a1a",
+            "523cc10d50799bd715a4bae485eb78f545e09022d83123b1fe686e972d4381ab",
+            "b165b06cbefa8bd3f8cb5e4cd0759679cd5a94de11550cc9b33a606989eda227",
+            "0339daead7e57133f369b7d008644875ce247837cd918743e5cbb4d079dbfb60",
+            "e8bf22827c2563fa36949e16f428f3b2fd6817709b7b4e2a6d5b95fa45180e9d",
+        ),
+        "dir-m1--0.0": (
+            "674b57511ea3a562d6008a59cc54f9b558fae0dc6adebf3405083971947b9d54",
+            "13da48c8c2e735198640961d11143a51747c7b2504d9059434cf7f9a48c706a4",
+            "acc271d4617599750604ef98b0f4be099353c712b2e22c64d4cbb7c27b08d884",
+            "d41d99b03cd6d732837bf70f5b35e0971611e3ad00bf321aa8846164ce9a13a0",
+            "40249c572d2c39f0c1121b0eaa9b12f919a34d06efceff832240a49a46fc0ca9",
+        ),
+        "dir-m1-0.0": (
+            "674b57511ea3a562d6008a59cc54f9b558fae0dc6adebf3405083971947b9d54",
+            "13da48c8c2e735198640961d11143a51747c7b2504d9059434cf7f9a48c706a4",
+            "acc271d4617599750604ef98b0f4be099353c712b2e22c64d4cbb7c27b08d884",
+            "d41d99b03cd6d732837bf70f5b35e0971611e3ad00bf321aa8846164ce9a13a0",
+            "40249c572d2c39f0c1121b0eaa9b12f919a34d06efceff832240a49a46fc0ca9",
+        ),
+        "dir-1e5": (
+            "64cda1cb72111558d148d59de1931d44e2fada4a5ba9c9bf66c409c4e03d6c40",
+            "8d64ba67b36e053bfd604c3c17e514b95ae31daf72c65d7dafe62f85f7aed315",
+            "2821df633302623be93496aa0c0b276b91b50363c1372f606496df23fa3a2dd3",
+            "c1ceac2abdbcf2a5c983abd2f416052f0517cb726f223cb8b282574ae03b9f95",
+            "be6ee01ede2905a59d09b4e0fa5d4b922a6bc2b33dba35c4eff22ad7a2440099",
+        ),
+        "equ-scalar": (
+            "7fac59273a1ba7c060b85a127a72fc392f22dffee3bfbcfc098d1457d3726323",
+            "1dcaa0201a62e3b83d12ef290ad61803a98424e1fffc872b5807f18e812477a5",
+            "3d2ab13cfcbcccd2facffa22386e68c3af2fd49e625283a43f1eb683c58e114f",
+            "dc7128ad785328da27a55c3e152a1fccac137a9b1024305147d25dd39340fe96",
+            "e2a7ddbb19226f98fff04b8c70ef92efc21ff742e3b183ed2a077963cd3e29d4",
+        ),
+        "equ-per-hypothesis": (
+            "ce731bc70b75db906121bc0e645740bb9de7a9571e2ac799f2884d506f2c3e35",
+            "0bc355348b7e462b55b8f7bcac8ce9e89adcc11f6b3342117d270375fc12c665",
+            "64d986851e872a9d9424c0a73853aac039f321df83b9ca4ac53c1f1f0cad779e",
+            "accc85f1a81856e1795907d6277b3390dc11ceb3fde7c7236dcfd5c5bce599d6",
+            "fcbe7a4e8abdd053135fe1298fa8c9d56f72129e21e56237022575b946516109",
+        ),
+        "equ-m1--1.0": (
+            "a2e3fc1de130b3856c276a89c25c1ced7f2f039559d8eff9a093fcae533481ed",
+            "a2e3fc1de130b3856c276a89c25c1ced7f2f039559d8eff9a093fcae533481ed",
+            "a2e3fc1de130b3856c276a89c25c1ced7f2f039559d8eff9a093fcae533481ed",
+            "a2e3fc1de130b3856c276a89c25c1ced7f2f039559d8eff9a093fcae533481ed",
+            "a2e3fc1de130b3856c276a89c25c1ced7f2f039559d8eff9a093fcae533481ed",
+        ),
+        "equ-m1--0.0": (
+            "bc8b22971a7c02ef28f3cfc3ee6661e7c5e1e2b2b72303db8e1e5eb706562577",
+            "df7c9b66e1be3a9c8dcd9d672a454c7546c184f54bfacebe44d9e796b764950a",
+            "cd03f12e52805ebced6ad06b7c281dbb7926e7e191a05946fe8b8d1eae44ae5c",
+            "9d8bb2453ce7b01e588c78b4be84689f426c61ccf35735d760ac599f520cbc51",
+            "2b7b42a1de0cd0cca2c11fedc5f11b37a026ba79c8973fdd307177168ace1bcc",
+        ),
+        "equ-m1-0.0": (
+            "bc8b22971a7c02ef28f3cfc3ee6661e7c5e1e2b2b72303db8e1e5eb706562577",
+            "df7c9b66e1be3a9c8dcd9d672a454c7546c184f54bfacebe44d9e796b764950a",
+            "cd03f12e52805ebced6ad06b7c281dbb7926e7e191a05946fe8b8d1eae44ae5c",
+            "9d8bb2453ce7b01e588c78b4be84689f426c61ccf35735d760ac599f520cbc51",
+            "2b7b42a1de0cd0cca2c11fedc5f11b37a026ba79c8973fdd307177168ace1bcc",
+        ),
+        "equ-1e5": (
+            "efb3fd2b6067883302b1728b371dffdaa627f0c69f7d6007ded0d6c8e611e733",
+            "e3124c951ef11a7603ce9548ad4184d572d22b0f53466caa7129b8021761eb85",
+            "73e242f46a32b3f8260dc59c8e4b0849fad7ca5c3567d2836a1fde71962c5cab",
+            "c2abf374bca466561fb9f719512dfdba4530362f3a5b3f0842fc1926976ed556",
+            "a3d5bbd0b1bfd8b0fc539c1e293efc9207077b264ebe96b07e9529dcb6fd957c",
+        ),
+    }
+
+    def test_names_cover_the_families(self):
+        assert [name for name, _ in _pinned_pvalue_families()] == list(self.DIGESTS)
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_pvalues(self, name):
+        sv = dict(_pinned_pvalue_families())[name]
+        got = [_pvalue_digest(_pvalues(sv, null)) for null in _PVALUE_NULLS.values()]
+        assert got == list(self.DIGESTS[name])
+
+    @pytest.mark.parametrize("null", list(_PVALUE_NULLS))
+    def test_equivalence_matches_the_two_branch_form(self, null):
+        null = _PVALUE_NULLS[null]
+        rng = np.random.default_rng(1602)
+        for _ in range(60):
+            m = int(rng.integers(1, 300))
+            stats = _pvalue_statistics(rng, m) * rng.choice([0.5, 1.0, 3.0])
+            margins = rng.uniform(0.1, 3.0, m) if rng.random() < 0.5 else float(rng.uniform(0.1, 3.0))
+            if rng.random() < 0.5:
+                stats = np.where(rng.random(m) < 0.3, np.broadcast_to(margins, (m,)), stats)
+                stats *= rng.choice([-1.0, 1.0], m)
+            sv = _sv(stats, margins, shape=EQU)
+            got = equivalence_pvalues(sv, null).values
+            want = _two_branch_equivalence(sv, null)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestPvalueVectorAndCsv:
     def test_range_validation(self):
@@ -542,6 +742,15 @@ class TestPvalueVectorAndCsv:
             PValueVector(values=np.array([0.5, 1.5]), shape=DIR)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             PValueVector(values=np.array([np.nan]), shape=DIR)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0), -5e-324])
+    def test_range_check_rejects_non_finite_and_barely_outside(self, bad):
+        with pytest.raises(ValueError, match=r"^p-values must all lie in \[0, 1\]$"):
+            PValueVector(values=np.array([0.5, bad, 0.25]), shape=DIR)
+
+    def test_range_check_accepts_both_ends(self):
+        pv = PValueVector(values=np.array([-0.0, 1.0, 0.0]), shape=DIR)
+        assert pv.values.tobytes() == np.array([-0.0, 1.0, 0.0]).tobytes()
 
     def test_csv_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -11,15 +11,15 @@ points of M, s+ equals the supremum of all thresholds whose estimate exceeds
 gamma, and by construction FDP~(s+) <= gamma while P(FDP(s+) <= gamma) >= 1/2
 under joint null symmetry with the null block independent of the rest.  The
 scan over M is ``core._control_scan``, which ``simulate.control_coverage``
-runs on blocks of replicates; this module adds the rejection set and the
-estimate at s+.
+runs on blocks of replicates; the rejection set and the estimate at s+ are
+``core._count_at``, the count the estimators read.
 
 The p-value transforms turn each statistic/margin pair into a marginal
 p-value that is uniform at the boundary of its null and stochastically
 larger inside it, given a model for the null density of ``T_j - mu_j``
 (symmetric around zero), for mean-FDP procedures that consume p-values.
-For the built-in densities the equivalence p-value is one pass,
-``F(|T_j| - delta_j)``; a ``user`` CDF keeps the branch on the sign of T_j.
+For the built-in densities each p-value is one pass, ``F(delta_j - T_j)`` or
+``F(|T_j| - delta_j)``; a ``user`` CDF keeps ``1 - F`` and the sign branch.
 Their ``index,pvalue`` file format lives in :mod:`artifact.stats`, whose
 readers and writers are imported here as aliases, not exported again.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ControlResult, HypothesisShape, StatisticVector
-from .core import _control_scan, _gamma, _read_only, _signed_cuts
+from .core import _control_scan, _count_at, _gamma, _read_only, _signed_cuts
 from .stats import read_pvalues_csv, write_pvalues_csv  # noqa: F401  (aliases, see above)
 
 __all__ = [
@@ -72,11 +72,9 @@ def control_mfdp(sv: StatisticVector, gamma: float) -> ControlResult:
     k = _signed_cuts(sv)
     exceeds, s, s_plus = _control_scan(k[None], gamma)
     s_plus = float(s_plus[0])
-    rejected = np.flatnonzero(k > s_plus)
-    r = rejected.size
-    v = min(r, int(np.count_nonzero(k < -s_plus)))
+    rejected, _, v, fdp_hat = _count_at(k, s_plus)
     s = float(s[0]) if exceeds[0] else None
-    return ControlResult(gamma, s, s_plus, rejected, r, v_tilde=v, fdp_hat=v / max(r, 1))
+    return ControlResult(gamma, s, s_plus, rejected, rejected.size, v_tilde=v, fdp_hat=fdp_hat)
 
 
 @dataclass(frozen=True)
@@ -163,11 +161,16 @@ def directional_pvalues(sv: StatisticVector, null: NullDensitySpec) -> PValueVec
     """Right-sided p-values ``P_j = 1 - F_j(T_j - delta_j)``.
 
     Uniform when ``mu_j = delta_j``, stochastically larger for
-    ``mu_j < delta_j`` -- so valid for the one-sided nulls.
+    ``mu_j < delta_j`` -- so valid for the one-sided nulls.  For the built-in
+    families this is ``F_j(delta_j - T_j)``, bit for bit: their ``1 - F(x)``
+    is ``F(-x)`` and negation is exact.  A ``user`` CDF keeps ``1 - F``.
     """
     if sv.shape is not HypothesisShape.DIRECTIONAL:
         raise ValueError("directional_pvalues requires a directional statistic vector")
-    p = null.sf_at(sv.statistics - sv.margins)
+    if null.family != "user":
+        p = null.cdf_at(sv.margins - sv.statistics)
+    else:
+        p = null.sf_at(sv.statistics - sv.margins)
     return PValueVector(values=np.clip(p, 0.0, 1.0, out=p), shape=sv.shape)
 
 

@@ -25,9 +25,10 @@ R and R- at every sorted position; the ends of the runs of equal ``|k|``
 are the grid points.  ``build_profile`` is that grid compressed to its run
 ends.  The control step lives here too, in ``_control_scan``: it finds s
 and s+ on the grid row by row, for one family (``control_mfdp``) or a block
-of Monte Carlo replicates (``control_coverage``).  Everything that counts
-rejections or mirrors -- the estimators, ``control_mfdp`` and the
-simulation -- works from these cuts.
+of Monte Carlo replicates (``control_coverage``).  The count at one
+threshold t is written once, in ``_count_at``: the rejected indices, R-(t),
+V~ = min(R-, R) and V~ / max(R, 1).  The four estimators and the tail of
+``control_mfdp`` (the estimate at s+) read it.
 The closed-testing oracle (``ct_oracle``) re-derives its indicators from the
 defining inequalities on purpose, as an independent check.
 """
@@ -51,8 +52,8 @@ __all__ = [
 
 
 def _read_only(values) -> np.ndarray:
-    """``values`` as an array that refuses writes."""
-    out = np.asarray(values)
+    """A view of ``values`` that refuses writes; the caller's array stays writable."""
+    out = np.asarray(values).view()
     out.flags.writeable = False
     return out
 
@@ -168,8 +169,8 @@ class RejectionProfile:
     _k: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.thresholds, self.r_grid, self.r_minus_grid, self._k):
-            _read_only(a)
+        for name in ("thresholds", "r_grid", "r_minus_grid", "_k"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     def _at(self, counts: np.ndarray, t):
         # R and R- are defined for t >= 0; a negative t reads the value at 0.
@@ -188,7 +189,7 @@ class RejectionProfile:
     def rejected_at(self, t: float) -> np.ndarray:
         """Indices (0-based) of the hypotheses rejected at threshold t."""
         _not_nan(t)
-        return np.flatnonzero(self._k > t)
+        return _count_at(self._k, t)[0]
 
 
 def _not_nan(t) -> None:
@@ -227,6 +228,20 @@ def _grid(k: np.ndarray):
     r_minus += r
     np.subtract(n_pos, r, out=r)
     return key.view(np.float64), r, r_minus, run_end
+
+
+def _count_at(k: np.ndarray, t: float, upper: np.ndarray | None = None):
+    """The estimate of the cuts ``k`` at one threshold t, written once.
+
+    Returns the rejected indices ``flatnonzero(k > t)``, the uncapped mirror
+    count R- = #{k < -t} (and ``t <= upper``, when given: the windowed
+    estimator's upper edge), V~ = min(R-, R) and FDP~ = V~ / max(R, 1).
+    """
+    rejected = np.flatnonzero(k > t)
+    below = k < -t if upper is None else (k < -t) & (t <= upper)
+    r_minus = int(np.count_nonzero(below))
+    v = min(r_minus, rejected.size)
+    return rejected, r_minus, v, v / max(rejected.size, 1)
 
 
 def build_profile(sv: StatisticVector) -> RejectionProfile:

@@ -21,13 +21,16 @@ The windowed equivalence variant replaces the unbounded mirror region
 It is never larger than the plain equivalence estimate, but its median-level
 guarantee additionally requires the null statistics to be mutually
 independent with unimodal symmetric densities.
+
+Each estimator checks its shape and threshold and reads the count at t from
+``core._count_at``, the one that ``control_mfdp`` reads at s+.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FdpEstimate, HypothesisShape, StatisticVector, _signed_cuts
+from .core import FdpEstimate, HypothesisShape, StatisticVector, _count_at, _signed_cuts
 
 __all__ = [
     "CoinSource",
@@ -57,22 +60,27 @@ class CoinSource:
         return f"CoinSource(seed={self.seed!r})"
 
 
-def _cuts_at(sv: StatisticVector, t: float, shape: HypothesisShape, what: str):
-    """Checked threshold, rejected indices and mirror mask ``-k > t`` (as ``k < -t``)."""
+def _estimate(estimator: str, shape, sv, t, upper=None, coin=None) -> FdpEstimate:
+    """``estimator`` at a checked t; ``upper`` caps the mirror region, a coin randomizes it."""
     if sv.shape is not shape:
+        what = "estimate_" + estimator.replace("-", "_")
         raise ValueError(f"{what} requires a {shape.value} statistic vector, got {sv.shape.value}")
     t = float(t)
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"threshold t must be finite and >= 0, got {t}")
-    k = _signed_cuts(sv)
-    return t, np.flatnonzero(k > t), k < -t
-
-
-def _estimate(estimator: str, t: float, rejected: np.ndarray, r_minus: int, **extra) -> FdpEstimate:
-    r = int(rejected.size)
-    v = min(r_minus, r)
+    rejected, r_minus, v, fdp_hat = _count_at(_signed_cuts(sv), t, upper)
+    floor = None if coin is None else bool(coin.flip())
+    floored = bool(floor) and rejected.size == r_minus
     return FdpEstimate(
-        estimator=estimator, t=t, rejected=rejected, r=r, v_tilde=v, fdp_hat=v / max(r, 1), **extra
+        estimator=estimator,
+        t=t,
+        rejected=rejected,
+        r=rejected.size,
+        v_tilde=None if floored else v,
+        fdp_hat=0.0 if floored else fdp_hat,
+        randomized=coin is not None,
+        coin=floor,
+        floored=floored,
     )
 
 
@@ -93,7 +101,7 @@ def estimate_directional(sv: StatisticVector, t: float) -> FdpEstimate:
     -------
     FdpEstimate
     """
-    return _directional(sv, t, None)
+    return _estimate("directional", HypothesisShape.DIRECTIONAL, sv, t)
 
 
 def estimate_directional_randomized(sv: StatisticVector, t: float, coin: CoinSource) -> FdpEstimate:
@@ -105,29 +113,7 @@ def estimate_directional_randomized(sv: StatisticVector, t: float, coin: CoinSou
     call (its outcome only matters on ties) and recorded on the result:
     ``coin=True`` means the floor branch was selected.
     """
-    return _directional(sv, t, coin)
-
-
-def _directional(sv: StatisticVector, t: float, coin: CoinSource | None) -> FdpEstimate:
-    what = "estimate_directional" if coin is None else "estimate_directional_randomized"
-    t, rejected, mirror = _cuts_at(sv, t, HypothesisShape.DIRECTIONAL, what)
-    r_minus = int(np.count_nonzero(mirror))
-    if coin is None:
-        return _estimate("directional", t, rejected, r_minus)
-    floor = bool(coin.flip())
-    if rejected.size == r_minus and floor:
-        return FdpEstimate(
-            estimator="directional-randomized",
-            t=t,
-            rejected=rejected,
-            r=int(rejected.size),
-            v_tilde=None,
-            fdp_hat=0.0,
-            randomized=True,
-            coin=floor,
-            floored=True,
-        )
-    return _estimate("directional-randomized", t, rejected, r_minus, randomized=True, coin=floor)
+    return _estimate("directional-randomized", HypothesisShape.DIRECTIONAL, sv, t, coin=coin)
 
 
 def estimate_equivalence(sv: StatisticVector, t: float) -> FdpEstimate:
@@ -137,8 +123,7 @@ def estimate_equivalence(sv: StatisticVector, t: float) -> FdpEstimate:
     and bounds false rejections by ``R-(t) = #{j : |T_j| > delta_j + t}``,
     capped at R(t).
     """
-    t, rejected, mirror = _cuts_at(sv, t, HypothesisShape.EQUIVALENCE, "estimate_equivalence")
-    return _estimate("equivalence", t, rejected, int(np.count_nonzero(mirror)))
+    return _estimate("equivalence", HypothesisShape.EQUIVALENCE, sv, t)
 
 
 def estimate_equivalence_windowed(sv: StatisticVector, t: float) -> FdpEstimate:
@@ -153,9 +138,5 @@ def estimate_equivalence_windowed(sv: StatisticVector, t: float) -> FdpEstimate:
     upper edge is evaluated as ``t <= 3*delta_j - |T_j|`` with the
     right-hand side computed once per hypothesis.
     """
-    t, rejected, mirror = _cuts_at(
-        sv, t, HypothesisShape.EQUIVALENCE, "estimate_equivalence_windowed"
-    )
-    upper_slack = 3.0 * sv.margins - np.abs(sv.statistics)
-    r_minus = int(np.count_nonzero(mirror & (t <= upper_slack)))
-    return _estimate("equivalence-windowed", t, rejected, r_minus)
+    upper = 3.0 * sv.margins - np.abs(sv.statistics)
+    return _estimate("equivalence-windowed", HypothesisShape.EQUIVALENCE, sv, t, upper=upper)

@@ -67,7 +67,8 @@ from .control import (
     directional_pvalues,
     equivalence_pvalues,
 )
-from .core import HypothesisShape, InfeasibleError, StatisticVector, _control_scan, _cuts, _gamma
+from .core import HypothesisShape, InfeasibleError, StatisticVector
+from .core import _control_scan, _cuts, _gamma, _read_only
 from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
 from .estimators import (
     CoinSource,
@@ -182,12 +183,10 @@ class ScenarioTruth:
     null_mask: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        mask = np.asarray(self.null_mask, dtype=bool)
+        mu = _read_only(np.asarray(self.mu, dtype=np.float64))
+        mask = _read_only(np.asarray(self.null_mask, dtype=bool))
         if mu.shape != mask.shape or mu.ndim != 1:
             raise ValueError("mu and null_mask must be 1-d arrays of equal length")
-        mu.flags.writeable = False
-        mask.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "null_mask", mask)
 

@@ -508,6 +508,19 @@ class TestDirectionalPvalues:
         with pytest.raises(ValueError, match="directional"):
             directional_pvalues(_sv([1.0], 2.0, shape=EQU), NullDensitySpec.standard_normal())
 
+    def test_peak_memory_stays_below_two_and_a_half_arrays(self):
+        m = 100_000
+        sv = _sv(np.random.default_rng(1701).normal(0.5, 1.5, m), 0.25)
+        null = NullDensitySpec.standard_normal()
+        directional_pvalues(sv, null)
+        tracemalloc.start()
+        try:
+            directional_pvalues(sv, null)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * m
+
 
 class TestEquivalencePvalues:
     def test_boundary_statistic_is_uniform_half(self):

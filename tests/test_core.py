@@ -18,6 +18,9 @@ from artifact import (
     ControlResult,
     FdpEstimate,
     HypothesisShape,
+    PValueVector,
+    RejectionProfile,
+    ScenarioTruth,
     StatisticVector,
     build_profile,
     control_mfdp,
@@ -51,11 +54,15 @@ class TestStatisticVector:
         np.testing.assert_array_equal(sv.margins, [0.1, 0.2])
 
     def test_arrays_are_read_only(self):
-        sv = _sv([1.0, 2.0], 0.0)
-        with pytest.raises(ValueError):
+        stats, margins = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        sv = StatisticVector(statistics=stats, margins=margins, shape=DIR)
+        with pytest.raises(ValueError, match="read-only"):
             sv.statistics[0] = 99.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             sv.margins[0] = 99.0
+        # The object freezes a view: the caller's own arrays stay writable.
+        stats[0] = 5.0
+        margins[0] = 5.0
 
     def test_empty_statistics_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -359,6 +366,28 @@ def test_result_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             res.rejected[0] = 7
     profile = build_profile(sv)
-    for name in ("thresholds", "r_grid", "r_minus_grid"):
+    for name in ("thresholds", "r_grid", "r_minus_grid", "_k"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(profile, name)[0] = 7
+    # Built from the caller's own arrays, each object freezes a view of
+    # them: its arrays refuse writes, the caller's stay writable.
+    floats = [np.array([0.0, 0.5, 1.0]) for _ in range(5)]
+    indices, mask = np.array([0, 2]), np.array([True, False, True])
+    truth = ScenarioTruth(mu=floats[0], null_mask=mask)
+    grid = RejectionProfile(floats[1], floats[2], floats[3], _k=floats[4])
+    frozen = [
+        PValueVector(values=floats[0], shape=DIR).values,
+        truth.mu,
+        truth.null_mask,
+        FdpEstimate("directional", 0.0, indices, 2, v_tilde=0, fdp_hat=0.0).rejected,
+        ControlResult(0.1, None, 0.0, indices, 2, v_tilde=0, fdp_hat=0.0).rejected,
+        grid.thresholds,
+        grid.r_grid,
+        grid.r_minus_grid,
+        grid._k,
+    ]
+    for a in frozen:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
+    for a in (*floats, indices, mask):
+        a[0] = a[1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from artifact import (
     HypothesisShape,
     StatisticVector,
     build_profile,
+    control_mfdp,
     estimate_directional,
     estimate_directional_randomized,
     estimate_equivalence,
@@ -226,3 +229,197 @@ def test_estimators_are_deterministic():
     second = estimate_directional(sv, 0.3)
     assert first.v_tilde == second.v_tilde
     np.testing.assert_array_equal(first.rejected, second.rejected)
+
+
+# ---------------------------------------------------------------------------
+# Pinned estimates
+# ---------------------------------------------------------------------------
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _estimate_digest(estimates) -> str:
+    """sha256 of a sequence of FdpEstimates: every field, its type, floats as hex."""
+    keys = [
+        (
+            e.estimator, type(e.t).__name__, _hex(e.t), e.rejected.dtype.str,
+            e.rejected.tobytes().hex(), type(e.r).__name__, e.r, type(e.v_tilde).__name__,
+            e.v_tilde, type(e.fdp_hat).__name__, _hex(e.fdp_hat), e.randomized, e.coin, e.floored,
+        )
+        for e in estimates
+    ]
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
+def _thresholds(sv, extra=()):
+    """0, -0.0, every distinct |cut| up to 40 of them, midpoints, a far threshold and ``extra``."""
+    if sv.shape is DIR:
+        k = sv.statistics - sv.margins
+    else:
+        k = np.minimum(sv.margins - np.abs(sv.statistics), np.min(sv.margins))
+    cuts = np.unique(np.abs(k))[:40]
+    mids = (cuts[1:] + cuts[:-1]) / 2
+    return [0.0, -0.0, *cuts, *mids[:10], 1e3, *extra]
+
+
+def _pinned_estimate_families():
+    rng = np.random.default_rng(1701)
+    # Symmetric half-integer ties: R(t) == R-(t) at every threshold.
+    half = rng.integers(1, 7, 30) * 0.5
+    yield "dir-symmetric-ties", _sv(np.concatenate([half, -half]), 0.0), ()
+    yield "dir-half-ties", _sv(rng.integers(-6, 7, 80) * 0.5, 0.5), ()
+    yield "dir-continuous", _sv(rng.normal(0.5, 1.5, 60), 0.25), (0.3, 1.7)
+    signed_zero = _sv([1.5, 1.5, -0.0, 0.0, 2.0, -1.0], [1.5, 1.5, 0.0, 0.0, 1.0, 0.0])
+    yield "dir-signed-zero-cuts", signed_zero, ()
+    quarter = rng.integers(-16, 17, 80) * 0.25
+    # Window edges t == 3*delta - |T| land on the quarter grid for delta = 1.
+    edges = [3.0 - abs(v) for v in quarter if abs(v) <= 3.0]
+    yield "equ-quarter-ties", _sv(quarter, 1.0, shape=EQU), edges
+    margins = rng.uniform(0.5, 2.0, 60)
+    stats = rng.normal(0.0, 2.0, 60)
+    stats[:10] = margins[:10] * rng.choice([-1.0, 1.0], 10)  # |T| == delta: zero cuts
+    slack = 3.0 * margins - np.abs(stats)
+    edges = list(slack[slack >= 0][:20])
+    yield "equ-per-hypothesis", _sv(stats, margins, shape=EQU), edges
+    yield "equ-signed-zero", _sv([-0.0, 0.0, 1.0, -1.0, 3.0, -3.0], 1.0, shape=EQU), (2.0,)
+    for v in (-1.0, -0.0, 0.0, 0.5):
+        yield f"dir-m1-{v}", _sv([v], 0.0), ()
+    yield "equ-m1", _sv([0.25], 1.0, shape=EQU), (2.75,)
+    rng = np.random.default_rng(1702)
+    shifted = rng.normal(0.0, 1.0, 100_000) + (rng.random(100_000) < 0.2) * 3.0
+    yield "dir-1e5", _sv(np.round(shifted, 2), 0.0), (1.0, 2.5)
+    yield "equ-1e5", _sv(np.round(rng.normal(0.0, 1.5, 100_000), 2), 1.0, shape=EQU), (1.5, 2.5)
+
+
+def _pinned_estimates(sv, extra):
+    """One digest per estimator of the shape, over every threshold in turn."""
+    ts = _thresholds(sv, extra)
+    if sv.shape is DIR:
+        out = [_estimate_digest(estimate_directional(sv, t) for t in ts)]
+        for seed in (0, 1, 2):
+            coin = CoinSource(seed)
+            out.append(_estimate_digest(estimate_directional_randomized(sv, t, coin) for t in ts))
+        return out
+    return [
+        _estimate_digest(estimate_equivalence(sv, t) for t in ts),
+        _estimate_digest(estimate_equivalence_windowed(sv, t) for t in ts),
+    ]
+
+
+class TestPinnedEstimates:
+    """Every FdpEstimate field of the four estimators pinned bit for bit.
+
+    The digests were computed before the estimators and ``control_mfdp``
+    shared one count at a threshold.  Directional families give the plain
+    estimate and the randomized one under coins seeded 0, 1 and 2 (one
+    coin source per seed, drawn across the thresholds in turn, including
+    R == R- ties); equivalence families give the plain and windowed
+    estimates, with window edges ``t == 3*delta - |T|`` exactly.  The
+    thresholds include 0, -0.0, every cut and points between them; the
+    families include signed-zero cuts, m = 1 and m = 10^5.
+    """
+
+    DIGESTS = {  # family -> one digest per estimator, see _pinned_estimates
+        "dir-symmetric-ties": (
+            "dfab6a1cb318a610daa084f5ba6cebc8ffad4e66a29b76651e8fa7420c57e15f",
+            "db7385154dc4e95778beec215898150d6936ef9c265f2aaac4a0f843d92a4364",
+            "87d1f6d962e84036567140e94a3d839f5521d53052fecdaed70d9d4a88377fdb",
+            "8805a0c50ef2901e1732ea8e45aa5f7c6a268865e31c6ad8505c006a9c12b1ee",
+        ),
+        "dir-half-ties": (
+            "576b298562de85a09a8c0641687e17f24f61189c4a3ff530f9e98c1e6e500a1a",
+            "d8ab43935490eeb7cf641c09446293192467a6916e37da680193aca97355f402",
+            "a3eea4ebf1e7c01aef6ddfd4ce3acdc6a137edc2311b82e53488acd1cdc2c787",
+            "aa8d02a91ee607936263eda508f133009ce26a372b40b5d75dcb0626705a33af",
+        ),
+        "dir-continuous": (
+            "20873850395dbb16ffe5b3ed6d10f7702ed6388d012b7b4123ff4d75938a272b",
+            "7610029f5284fb3fa4fb139c673ed66e05c0eae9efd4e4286176f23b093abb13",
+            "f441e3fc70c9a83a6076957157bb29e8c7c5ce3140a979a69cdd4717eeed1fee",
+            "bc0ec92c05dd803884d654b1b55fa02033564ce2fceeb491249dd5856158450b",
+        ),
+        "dir-signed-zero-cuts": (
+            "f159a62e8c052821d1f88ff905bb2633ae896c894dfca627d73c4cf7c3486f3f",
+            "9a91a907b37856f319b9f5a70d5e10ef11ffde4a50ad7c21a16e8855e5a0b47c",
+            "db1d4207f94f58e4f7d6a80e03f968c47ea47e5f3810b82ab6d5878e503d6b25",
+            "71baccc6c8754bfd857f02d42ebf658ad2df1348d79a6fc4c161f8101f787850",
+        ),
+        "equ-quarter-ties": (
+            "0c1ae8195bd0e559d2239dbe382a20218b4c521169cd738beb98459b7c48d4bf",
+            "f2fb016042d06b6841505eba9cc33e4914e2d6d19636df11e39b8840d1c1a825",
+        ),
+        "equ-per-hypothesis": (
+            "bc96149e8ca779e5324bfb0af2ab972307b3237c4fe6252b45e0d5804e7539cc",
+            "dd92de4cf88b10ad47a4b3413b10a7cf78ee94ba54751927f01e14e59b25440a",
+        ),
+        "equ-signed-zero": (
+            "ccdf8f852ca4cb5d6bbc6c2c8ab9a7c177d4c494743a906d062a86ae1b321444",
+            "8d2c447e6a21dc71a41088588347dd0829d5620185a1487f0512fa6283970bf5",
+        ),
+        "dir-m1--1.0": (
+            "3422f469a6cb8ce76fb04ca29b640deed9122d370958de5648f060e018ce1db4",
+            "73dab84deb6dbba293089ca2547f1a57ed6f4542043454cb8ae8fae3be39e440",
+            "9a3c3ff4072652f7d8feeb04413e9b7ffefaa9eebb4570155d0f7a2d595c33f7",
+            "7079a8941ce11506112556c3c671318b6da8a7b58ec319828973f0337930a98e",
+        ),
+        "dir-m1--0.0": (
+            "9f6c699551b913434c2bdac918d87f8da62b0f8dfe9bc159961a7838aa1e37fb",
+            "78c0bd56856a3740335b01cac45b9dc92c2882ae1a14f903414d05024cb9d493",
+            "1031e1d0c70b82ed570bff3d5871930c81e25bfa4d002bf3bb0a95fc52995e8a",
+            "7d4333903132f20e3c73704842134ff2e8adcabe105167eb03ad1cbb2b72f237",
+        ),
+        "dir-m1-0.0": (
+            "9f6c699551b913434c2bdac918d87f8da62b0f8dfe9bc159961a7838aa1e37fb",
+            "78c0bd56856a3740335b01cac45b9dc92c2882ae1a14f903414d05024cb9d493",
+            "1031e1d0c70b82ed570bff3d5871930c81e25bfa4d002bf3bb0a95fc52995e8a",
+            "7d4333903132f20e3c73704842134ff2e8adcabe105167eb03ad1cbb2b72f237",
+        ),
+        "dir-m1-0.5": (
+            "7439bc3d5ad5f56f41c6210addfe11b0b7bf9cb2885016428b955c72039fee2d",
+            "eeeaadc140e71a67c0ffc87189220679849c1b99f93aea4ea57fdd9d39b6f115",
+            "4ff03444e8bc0cc3dd8f6a342e3fe80115b10cef916f14b04d1f9bc60a5f49bf",
+            "36f8d1a35319cf97ff807856a81ed4973dda07e581fca50f1ce248a37db4f9d1",
+        ),
+        "equ-m1": (
+            "bd9861105552400f6e02c76addfa9c4dda30b2061727040b379e2777ffab2928",
+            "5779d1c24c5c4defd89a425c105d469fed5e93f362b58d760cbdbfa6b3ebf641",
+        ),
+        "dir-1e5": (
+            "4ac2d636a458f89ed81949838fa99877fb3e617ef151d4774c66e512af836843",
+            "27e511e1ee602f2aeec7ef568b769f3c7639c3faaab6409edb3c973f8f1f28e5",
+            "0c4336c1273e5fb83ddb27db699b13bc29e725197056c56e24c646663a61d8bc",
+            "47543ddd2182322694558793d75eeba2af1fbc6f669e9e52d206bf527ac2fe38",
+        ),
+        "equ-1e5": (
+            "e56e07c8f781e7c31537abfc0f5bababd29fd87de742e93460cc02476e65bf00",
+            "c22a6099a964ddb63606c65812604c3c623c4039b4df693782d94031d56f6bcc",
+        ),
+    }
+
+    def test_names_cover_the_families(self):
+        assert [name for name, _, _ in _pinned_estimate_families()] == list(self.DIGESTS)
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_estimates(self, name):
+        families = {name: (sv, extra) for name, sv, extra in _pinned_estimate_families()}
+        assert _pinned_estimates(*families[name]) == list(self.DIGESTS[name])
+
+
+def test_control_matches_the_estimate_at_s_plus():
+    # control_mfdp's tail is the estimate at s+: same rejections and counts.
+    rng = np.random.default_rng(1703)
+    for _ in range(200):
+        m = int(rng.integers(1, 60))
+        shape = DIR if rng.random() < 0.5 else EQU
+        stats = rng.integers(-8, 9, m) * 0.25
+        margins = 0.5 if shape is DIR else float(rng.choice([0.25, 0.5, 1.0]))
+        sv = _sv(stats, margins, shape=shape)
+        estimate = estimate_directional if shape is DIR else estimate_equivalence
+        for gamma in (0.0, 0.1, 0.3):
+            ctl = control_mfdp(sv, gamma)
+            est = estimate(sv, ctl.s_plus)
+            assert ctl.rejected.tobytes() == est.rejected.tobytes()
+            assert (ctl.r, ctl.v_tilde) == (est.r, est.v_tilde)
+            assert type(ctl.fdp_hat) is type(est.fdp_hat) and ctl.fdp_hat == est.fdp_hat

@@ -38,7 +38,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import InfeasibleError, _gamma
+from .core import InfeasibleError, _gamma, _read_only
 
 __all__ = [
     "TransformationGroup",
@@ -97,8 +97,9 @@ class TransformationGroup:
     ``sam_subset`` read as the observed data.  ``n`` is the number of data
     rows for sign flips and the per-group size (half the rows) for
     permutations.  Construction checks all of this and raises ValueError
-    otherwise.  Subsampled variants draw transformations with replacement,
-    always keep the identity as row 0, and record their seed.
+    otherwise; the table is then stored read-only.  Subsampled variants draw
+    transformations with replacement, always keep the identity as row 0, and
+    record their seed.
     """
 
     kind: str
@@ -125,6 +126,7 @@ class TransformationGroup:
         rows = self.n if self.signs is not None else 2 * self.n
         if table.shape[1] != rows:
             raise ValueError(f"n={self.n} needs a table on {rows} data rows, got {table.shape[1]}")
+        object.__setattr__(self, "signs" if self.signs is not None else "perms", _read_only(table))
 
     @property
     def size(self) -> int:

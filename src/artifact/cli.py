@@ -42,7 +42,7 @@ from .control import (
     directional_pvalues,
     equivalence_pvalues,
 )
-from .core import FdpEstimate, HypothesisShape, InfeasibleError, StatisticVector
+from .core import HypothesisShape, InfeasibleError, StatisticVector
 from .ct_oracle import COUNT_FAMILIES, verify_random_instances
 from .estimators import (
     CoinSource,
@@ -83,27 +83,31 @@ def _format_indices(indices) -> str:
     return " ".join(seq) if seq else "(none)"
 
 
-def _write_json(args, seed, result: dict, *config_keys: str) -> None:
+def _result_fields(obj, *names: str) -> dict:
+    """The named attributes of a result, in order; index arrays become lists of int."""
+    values = {name: getattr(obj, name) for name in names}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
+def _write_json(path, command: str, seed, config: dict, body: dict) -> None:
+    """A JSON document: version, command, seed and config hash, then ``body``."""
+    head = {"version": __version__, "command": command, "seed": seed}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**head, "config_hash": _config_hash(config), **body}, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_out(args, seed, result: dict, *config_keys: str) -> None:
     """The ``--out`` document; its config is the named arguments, in order."""
     config = {key: getattr(args, key) for key in config_keys}
-    payload = {
-        "version": __version__,
-        "command": args.command,
-        "seed": seed,
-        "config_hash": _config_hash(config),
-        "config": config,
-        "result": result,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, args.command, seed, config, {"config": config, "result": result})
 
 
 def _report(args, seed, pairs: list[tuple[str, str]], result: dict, *config_keys: str) -> int:
     """Print the result table and, with ``--out``, write the JSON document."""
     _print_table(pairs, args.csv)
     if args.out:
-        _write_json(args, seed, result, *config_keys)
+        _write_out(args, seed, result, *config_keys)
     return 0
 
 
@@ -161,20 +165,6 @@ def _load_statistics(args) -> tuple[StatisticVector, tuple[str, ...] | None]:
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def _estimate_result(est: FdpEstimate) -> dict:
-    return {
-        "estimator": est.estimator,
-        "t": est.t,
-        "r": est.r,
-        "v_tilde": est.v_tilde,
-        "fdp_hat": est.fdp_hat,
-        "rejected": [int(i) for i in est.rejected],
-        "randomized": est.randomized,
-        "coin": est.coin,
-        "floored": est.floored,
-    }
-
-
 def _add_statistics_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", help="CSV of statistics (index,statistic[,margin]) or raw data")
     parser.add_argument(
@@ -211,7 +201,9 @@ def _cmd_estimate(args) -> int:
         est = estimate_equivalence_windowed(sv, args.t)
     else:
         est = estimate_equivalence(sv, args.t)
-    result = _estimate_result(est)
+    result = _result_fields(
+        est, "estimator", "t", "r", "v_tilde", "fdp_hat", "rejected", "randomized", "coin", "floored"
+    )
     result["requires_independence"] = est.requires_independence
     if names is not None:
         result["rejected_features"] = [names[i] for i in result["rejected"]]
@@ -233,15 +225,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_control(args) -> int:
     sv, names = _load_statistics(args)
     ctl = control_mfdp(sv, args.gamma)
-    result = {
-        "gamma": ctl.gamma,
-        "s": ctl.s,
-        "s_plus": ctl.s_plus,
-        "r": ctl.r,
-        "v_tilde": ctl.v_tilde,
-        "fdp_hat": ctl.fdp_hat,
-        "rejected": [int(i) for i in ctl.rejected],
-    }
+    result = _result_fields(ctl, "gamma", "s", "s_plus", "r", "v_tilde", "fdp_hat", "rejected")
     if names is not None:
         result["rejected_features"] = [names[i] for i in result["rejected"]]
     pairs = [
@@ -284,14 +268,11 @@ def _cmd_pvalues(args) -> int:
     if args.out:
         write_pvalues_csv(pv, args.out)
         print(f"wrote {pv.values.size} p-values to {args.out}")
+    elif args.csv:
+        _write_indexed(sys.stdout, {"pvalue": pv.values}, "\n")
     else:
-        if args.csv:
-            _write_indexed(sys.stdout, {"pvalue": pv.values}, "\n")
-        else:
-            width = max(5, len(str(pv.values.size - 1)))
-            print(f"{'index':<{width}}  pvalue")
-            for j, p in enumerate(pv.values):
-                print(f"{j:<{width}}  {p:.10g}")
+        rows = [(str(j), f"{p:.10g}") for j, p in enumerate(pv.values)]
+        _print_table([("index", "pvalue"), *rows], False)
     return 0
 
 
@@ -301,12 +282,7 @@ def _cmd_simulate(args) -> int:
         study = StudySpec.from_dict({**study.to_dict(), "seed": args.seed})
     table = run_study(study, out_dir=args.out_dir)
     if args.csv:
-        print("cell_id,pi0,rho,d,method,metric,value,se")
-        for r in table.rows:
-            print(
-                f"{r.cell_id},{r.pi0:g},{r.rho:g},{r.d:g},{r.method},{r.metric},"
-                f"{r.value:.10g},{r.se:.10g}"
-            )
+        table._write_rows(sys.stdout)
     else:
         header = f"{'cell':>4}  {'pi0':>5}  {'rho':>5}  {'d':>5}  {'method':<22}  {'metric':<18}  {'value':>12}  {'se':>10}"
         print(header)
@@ -318,16 +294,9 @@ def _cmd_simulate(args) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         table.write_csv(out / "metrics.csv")
-        summary = {
-            "version": __version__,
-            "command": "simulate",
-            "seed": study.seed,
-            "config_hash": _config_hash(study.to_dict()),
-            **table.summary_dict(),
-        }
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        _write_json(
+            out / "summary.json", args.command, study.seed, study.to_dict(), table.summary_dict()
+        )
         note = sys.stderr if args.csv else sys.stdout
         print(f"wrote {out / 'metrics.csv'} and {out / 'summary.json'}", file=note)
     return 0
@@ -348,7 +317,7 @@ def _cmd_verify_ct(args) -> int:
         )
     if args.out:
         result = {"reports": reports, "total_mismatches": total}
-        _write_json(args, seed, result, "family", "m", "instances")
+        _write_out(args, seed, result, "family", "m", "instances")
     return 0
 
 

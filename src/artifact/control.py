@@ -145,7 +145,10 @@ class NullDensitySpec:
 
 @dataclass(frozen=True, eq=False)
 class PValueVector:
-    """Marginal p-values for one family, all in [0, 1]."""
+    """Marginal p-values for one family, all in [0, 1].
+
+    ``values`` is stored read-only, sharing a float64 input: pass a copy to decouple.
+    """
 
     values: np.ndarray
     shape: HypothesisShape

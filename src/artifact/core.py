@@ -97,6 +97,8 @@ class StatisticVector:
         Must be strictly positive for equivalence families.
     shape : HypothesisShape
         Whether the family is directional (one-sided) or equivalence.
+
+    Both arrays are stored read-only, sharing a float64 input: pass a copy to decouple.
     """
 
     statistics: np.ndarray

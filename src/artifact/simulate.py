@@ -111,9 +111,9 @@ _SAM_FULL_MAX_N = 12
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; a bool or a non-number raises, naming ``name``."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    """``value`` as a float; a bool, a non-number, NaN or an infinity raises, naming ``name``."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -177,7 +177,10 @@ class ScenarioSpec:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioTruth:
-    """Statistic-scale means and the null set they imply."""
+    """Statistic-scale means and the null set they imply.
+
+    Both arrays are stored read-only, sharing an input of their dtype: pass a copy to decouple.
+    """
 
     mu: np.ndarray
     null_mask: np.ndarray
@@ -369,17 +372,18 @@ class StudySpec:
             raise ValueError("methods must not repeat")
         object.__setattr__(self, "methods", methods)
         t = _real("t", self.t)
-        if not np.isfinite(t) or t < 0.0:
-            raise ValueError(f"t must be finite and >= 0, got {t}")
+        if t < 0.0:
+            raise ValueError(f"t must be >= 0, got {t}")
         gamma = _gamma(_real("gamma", self.gamma))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gamma", gamma)
-        # Validate the scenario parameters, the seed among them, once via a
-        # representative cell.
-        base = self._cell_spec(self.pi0[0], self.rho[0], self.d[0], seed=self.seed)
+        # Validate the scenario parameters of every cell, under the study
+        # seed, before any cell seed is derived from it.
+        for pi0, rho, d in product(self.pi0, self.rho, self.d):
+            self._cell_spec(pi0, rho, d, seed=self.seed)
         needs_symmetry_at_zero = {"SAM-full", "SAM-2", "SAM+CT"} & set(methods)
         if needs_symmetry_at_zero or "novel-randomized" in methods:
-            if base.shape is not HypothesisShape.DIRECTIONAL:
+            if self.shape is not HypothesisShape.DIRECTIONAL:
                 raise ValueError(
                     "SAM-style and randomized methods apply to directional scenarios only"
                 )
@@ -492,12 +496,16 @@ class MetricTable:
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("cell_id,pi0,rho,d,method,metric,value,se\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.cell_id},{r.pi0:.17g},{r.rho:.17g},{r.d:.17g},"
-                    f"{r.method},{r.metric},{r.value:.17g},{r.se:.17g}\n"
-                )
+            self._write_rows(fh)
+
+    def _write_rows(self, fh) -> None:
+        """The CSV header and rows, floats at 17 significant digits, lines ending LF."""
+        fh.write("cell_id,pi0,rho,d,method,metric,value,se\n")
+        fh.writelines(
+            f"{r.cell_id},{r.pi0:.17g},{r.rho:.17g},{r.d:.17g},"
+            f"{r.method},{r.metric},{r.value:.17g},{r.se:.17g}\n"
+            for r in self.rows
+        )
 
     def summary_dict(self) -> dict:
         return {"study": dict(self.study), "rows": [asdict(r) for r in self.rows]}

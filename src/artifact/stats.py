@@ -14,6 +14,9 @@ CSV conventions
 * P-value files: header ``index,pvalue``, rows as in a statistics file,
   and every p-value in [0, 1].  Both formats are written at 17 significant
   digits, so a written file re-reads to bit-identical values.
+* Under a header of exactly the reader's columns, every row has as many
+  cells, so a decimal comma is rejected, naming the row; under a header
+  with further columns a row may end anywhere after its values.
 
 Every reader drops a leading UTF-8 byte-order mark and rejects a byte that
 is not UTF-8, naming the file and the line of the byte.
@@ -24,10 +27,10 @@ Every reader parses its header with :mod:`csv` and hands the rest of the
 file to numpy's C parser (``np.loadtxt``).  That route keeps a result only
 when the per-cell loop would return the same arrays bit for bit: a body of
 plain ASCII lines with no quote, no U+001C..U+001F and no empty line, every
-value finite, every raw-data row as wide as the header with two group
-labels, and statistic or p-value indices 0..m-1 once each.  Any other file
-is read again from the top by the per-cell loop, so every error message
-comes from that literal route.
+value finite, every row of raw data or under an exact header as wide as
+the header, two group labels, and statistic or p-value indices 0..m-1 once
+each.  Any other file is read again from the top by the per-cell loop, so
+every error message comes from that literal route.
 
 Indices are 0-based everywhere.
 """
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypothesisShape, StatisticVector
+from .core import HypothesisShape, StatisticVector, _read_only
 
 __all__ = [
     "DataMatrix",
@@ -156,10 +159,12 @@ def _restart(fh):
     return reader
 
 
-def _indexed_rows_fast(fh, n_values: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _indexed_rows_fast(fh, n_values: int, exact: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """``_read_indexed_rows`` by the C parser, or None where it would differ."""
     dtype = np.dtype([("index", np.int64), ("values", np.float64, (n_values,))])
-    rows = _loadtxt_plain(fh, dtype=dtype, usecols=range(n_values + 1), ndmin=1)
+    # Without usecols, loadtxt refuses a row wider than the dtype.
+    usecols = None if exact else range(n_values + 1)
+    rows = _loadtxt_plain(fh, dtype=dtype, usecols=usecols, ndmin=1)
     if rows is None:
         return None
     index, table = rows["index"], rows["values"]
@@ -174,17 +179,19 @@ def _indexed_rows_fast(fh, n_values: int) -> tuple[np.ndarray, np.ndarray] | Non
     return table[order], order + 2
 
 
-def _read_indexed_rows(path, fh, columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``index,<columns>`` float rows left in ``fh``, ordered by index.
+def _read_indexed_rows(path, fh, header: list[str], n_values: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``index,<values>`` float rows left in ``fh``, ordered by index.
 
-    ``fh`` is an ``_open_csv`` file whose one-record header has been read.
-    Returns the (m, len(columns)) values and the line number of each row,
-    both in index order.  Blank lines are skipped.  Every value must be
-    finite and the indices must be 0..m-1, each once: a non-finite cell, an
-    out-of-range or repeated index raises, naming the row.
+    ``fh`` is an ``_open_csv`` file whose one-record ``header`` has been
+    read; the ``n_values`` columns after the index are the values.  Returns
+    the (m, n_values) values and the line number of each row, both in index
+    order.  Blank lines are skipped.  Every value must be finite, the indices
+    0..m-1, each once, and every row as wide as an exact header: a bad cell,
+    index or row width raises, naming the row.
     """
-    n_values = len(columns)
-    fast = _indexed_rows_fast(fh, n_values)
+    columns = header[1 : n_values + 1]
+    exact = len(header) == n_values + 1
+    fast = _indexed_rows_fast(fh, n_values, exact)
     if fast is not None:
         return fast
     lines: list[int] = []
@@ -193,6 +200,8 @@ def _read_indexed_rows(path, fh, columns: list[str]) -> tuple[np.ndarray, np.nda
     for lineno, row in enumerate(_restart(fh), start=2):
         if not "".join(row).strip():
             continue
+        if exact and len(row) != len(header):
+            raise ValueError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
         try:
             if len(row) <= n_values:
                 raise IndexError
@@ -234,7 +243,8 @@ class DataMatrix:
     ``values[i, j]`` is observation i of feature j.  ``group`` (when
     present) assigns each row to one of exactly two labels; ``group_labels``
     lists them in first-appearance order, and the first label plays the role
-    of the "treatment" group in two-sample statistics.
+    of the "treatment" group in two-sample statistics.  Both arrays are
+    stored read-only once checked, sharing an input of their dtype.
     """
 
     values: np.ndarray
@@ -250,7 +260,7 @@ class DataMatrix:
         names = tuple(self.feature_names)
         if len(names) != values.shape[1]:
             raise ValueError("feature_names length must match the number of columns")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
         object.__setattr__(self, "feature_names", names)
         if self.group is not None:
             group = np.asarray(self.group)
@@ -258,7 +268,7 @@ class DataMatrix:
                 raise ValueError("group must have one label per row")
             if len(dict.fromkeys(group.tolist())) != 2:
                 raise ValueError("group column must contain exactly two distinct labels")
-            object.__setattr__(self, "group", group)
+            object.__setattr__(self, "group", _read_only(group))
 
     @property
     def n(self) -> int:
@@ -387,7 +397,7 @@ def read_statistics_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
                 f"{path}: expected header 'index,statistic[,margin]', got {header!r}"
             )
         has_margin = len(header) > 2
-        rows, _ = _read_indexed_rows(path, fh, header[1:3])
+        rows, _ = _read_indexed_rows(path, fh, header, 2 if has_margin else 1)
     return rows[:, 0].copy(), rows[:, 1].copy() if has_margin else None
 
 
@@ -398,9 +408,10 @@ def read_pvalues_csv(path) -> np.ndarray:
     must lie in [0, 1].
     """
     with _open_csv(path) as fh:
-        if _header(csv.reader(fh))[:2] != ["index", "pvalue"]:
+        header = _header(csv.reader(fh))
+        if header[:2] != ["index", "pvalue"]:
             raise ValueError(f"{path}: expected header 'index,pvalue'")
-        rows, lines = _read_indexed_rows(path, fh, ["pvalue"])
+        rows, lines = _read_indexed_rows(path, fh, header, 1)
     pvalues = rows[:, 0].copy()
     outside = np.flatnonzero((pvalues < 0.0) | (pvalues > 1.0))
     if outside.size:

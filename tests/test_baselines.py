@@ -86,6 +86,29 @@ class TestTransformationGroup:
         for row, copy in zip(group.signs, group.apply_to(data)):
             assert copy.tobytes() == (data * row[:, None]).tobytes()
 
+    @pytest.mark.parametrize(
+        "make, table",
+        [(lambda: TransformationGroup.sign_flip_full(6), "signs"),
+         (lambda: TransformationGroup.sign_flip_subsample(6, n_transforms=8, seed=1), "signs"),
+         (lambda: TransformationGroup.negation_pair(6), "signs"),
+         (lambda: TransformationGroup.case_control_swap(3), "perms"),
+         (lambda: TransformationGroup.permutation_subsample(3, n_transforms=8, seed=1), "perms")],
+        ids=["full", "sign-subsample", "negation-pair", "swap", "perm-subsample"],
+    )
+    def test_table_is_read_only(self, make, table):
+        # Row 0 is read as the observed data: a write to it would change
+        # every bound built on the group after its checks.
+        rows = getattr(make(), table)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = rows[1]
+
+    def test_callers_table_stays_writable(self):
+        signs = np.ones((2, 3), dtype=np.int8)
+        signs[1] = -1
+        group = TransformationGroup(kind="negation-pair", n=3, signs=signs)
+        signs[1, 0] = 1
+        assert signs.flags.writeable and not group.signs.flags.writeable
+
     def test_apply_to_validates_row_count(self):
         group = TransformationGroup.negation_pair(4)
         with pytest.raises(ValueError, match="rows"):

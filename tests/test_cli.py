@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -288,6 +289,14 @@ class TestStatisticsFileInput:
         assert "s_plus    3.5" in out
         assert "rejected  0 1" in out
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_decimal_commas_exit_2_naming_the_row(self, capsys, tmp_path, quote):
+        path = tmp_path / "s.csv"
+        path.write_text(f"index,statistic\n{quote}0{quote},2,5\n1,-0,5\n2,3,1\n")
+        code, out, err = run(capsys, "control", str(path), "--gamma", "0.3", "--delta", "0")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: row 2 has 3 cells, header has 2\n"
+
     def test_extra_columns_after_margin_are_ignored(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text(
@@ -499,6 +508,20 @@ class TestSimulate:
         assert lines[0] == "cell_id,pi0,rho,d,method,metric,value,se"
         assert all(line.startswith("0,") for line in lines[1:])
 
+    def test_csv_stdout_is_the_metrics_file(self, capsys, tmp_path):
+        spec = {
+            "n": 5, "m": 20, "pi0": [0.1, 0.5], "rho": 0.3, "d": 1.5,
+            "methods": ["novel", "BH"], "t": 1.0, "gamma": 0.25,
+            "replicates": 7, "seed": 99,
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "results"
+        code, out, _ = run(capsys, "simulate", "--spec", str(path), "--out-dir", str(out_dir), "--csv")
+        assert code == 0
+        assert out.encode("utf-8") == (out_dir / "metrics.csv").read_bytes()
+        assert ",0.10000000000000001,0.29999999999999999," in out
+
     def test_runs_are_reproducible(self, capsys, spec_path, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -560,6 +583,22 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--spec", str(path))
         assert code == 2 and out == ""
         assert f"study spec {path}: {key} must be" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("pi0", [0.5, 1.5]), ("d", [1.0, float("inf")]), ("noise_df", float("nan"))]
+    )
+    def test_bad_grid_or_non_finite_value_exits_2_before_any_output(self, capsys, tmp_path, key, value):
+        spec = {
+            "n": 5, "m": 10, "pi0": 0.5, "rho": 0.0, "d": 1.0,
+            "methods": ["novel"], "t": 1.0, "gamma": 0.25, "replicates": 2, key: value,
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "results"
+        code, out, err = run(capsys, "simulate", "--spec", str(path), "--out-dir", str(out_dir))
+        assert code == 2 and out == ""
+        assert f"study spec {path}: {key} must be" in err
+        assert not out_dir.exists()
 
     def test_bad_spec_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -781,6 +820,156 @@ def test_out_document_config_order_and_hash(
     assert payload["seed"] == seed
     assert list(payload["config"].items()) == list(config.items())
     assert payload["config_hash"] == config_hash
+
+
+# --- pinned outputs ---------------------------------------------------------
+
+_PINNED_INPUTS = {
+    "stats.csv": "index,statistic,margin\n"
+    + "".join(
+        f"{j},{t},{m}\n"
+        for j, (t, m) in enumerate(
+            [(2.75, 0.0), (-1.5, 0.25), (0.3, 0.0), (4.1, 0.25), (-0.2, 0.0),
+             (1.9, 0.0), (3.3, 0.25), (-2.6, 0.0), (0.05, 0.0), (2.2, 0.25)]
+        )
+    ),
+    "data.csv": "group,g1,g2,g3,g4\n"
+    "treat,1.5,0.2,3.1,-0.4\n"
+    "treat,2.25,-0.1,2.9,0.3\n"
+    "treat,1.75,0.4,3.6,0.1\n"
+    "ctrl,0.5,0.3,1.2,-0.2\n"
+    "ctrl,0.25,-0.35,1.1,0.6\n"
+    "ctrl,0.9,0.1,0.7,0.05\n",
+    "ones.csv": "x\n0.5\n1.2\n-0.3\n0.9\n1.1\n0.4\n",
+    "study.json": json.dumps(
+        {"n": 6, "m": 12, "pi0": [0.25, 0.5], "rho": 0.1, "d": 1.25,
+         "methods": ["novel", "novel-randomized", "BH", "LR", "flexible-pvals-export"],
+         "t": 0.5, "gamma": 0.2, "replicates": 8, "seed": 11}
+    ),
+}
+
+_STUDY = "simulate --spec study.json --out-dir results"
+
+# sha256 of each output, computed before the CLI's writers were merged into
+# one per format; the merge keeps every byte.
+PINNED_OUTPUTS = [
+    pytest.param(
+        "estimate stats.csv --t 1 --out doc.json",
+        "doc.json", "8f691b7036d1209b012bfc532ea3975b5b5a62afe82be97d1e392b2fd3e2b19c",
+        id="estimate-out",
+    ),
+    pytest.param(
+        "estimate stats.csv --t 0.5 --randomized --seed 7 --out doc.json",
+        "doc.json", "a49ce7a8b7d50826f1c646bd980d053e0d9635992dc281cc6046dc3e99f4bfe5",
+        id="estimate-randomized-out",
+    ),
+    pytest.param(
+        "estimate stats.csv --shape equivalence --delta 3 --t 0.5 --windowed --out doc.json",
+        "doc.json", "56a828c7af69c30c7f240766c8dea348345cfb82563336f6bda34ce8195dbd62",
+        id="estimate-windowed-out",
+    ),
+    pytest.param(
+        "estimate data.csv --delta 0.5 --t 0.25 --out doc.json",
+        "doc.json", "86e701bdb33fee9cb5439a26ef75f154c0da03143b95e89dafcde24a311da599",
+        id="estimate-raw-data-out",
+    ),
+    pytest.param(
+        "control stats.csv --gamma 0.3 --out doc.json",
+        "doc.json", "1a260179fe7dc746763d58c5b1f950bfac628b537fadb86777827f8d5654db05",
+        id="control-out",
+    ),
+    pytest.param(
+        "control data.csv --delta 0.5 --gamma 0.4 --out doc.json",
+        "doc.json", "66f2585f2d4956cabcb0baa45d6df94ce5337295a30e6d0896a0880efc8ff72f",
+        id="control-raw-data-out",
+    ),
+    pytest.param(
+        "exact-test ones.csv --test sign-flip --alpha 0.25 --out doc.json",
+        "doc.json", "a6a988d295107ed82bb48fc9fe7310e62d3b8e7befdbec009147090555b7bfdd",
+        id="exact-test-sign-flip-out",
+    ),
+    pytest.param(
+        "exact-test data.csv --test permutation --alpha 0.25 --feature g3 --out doc.json",
+        "doc.json", "7130c267e0fc9963acd3df935a7131a1625811657a1084018fc3a209dcc01d51",
+        id="exact-test-permutation-out",
+    ),
+    pytest.param(
+        "verify-ct --family all --m 4 --instances 3 --seed 5 --out doc.json",
+        "doc.json", "fef9d7fa43f09dd1f260c4409592130d533febfed86cec98b56140cf9a8546cb",
+        id="verify-ct-out",
+    ),
+    pytest.param(
+        "pvalues stats.csv --null student-t:6 --out p.csv",
+        "p.csv", "9f1523bbfd4a336ebb5fd95147770465783dc2be027de0132ba17f2576780a42",
+        id="pvalues-out",
+    ),
+    pytest.param(
+        _STUDY,
+        "results/summary.json", "ac062e8b337a16d51f26c4fe622dbd32d0a31a3f6e3a524f4d82f6d42d47e070",
+        id="simulate-summary",
+    ),
+    pytest.param(
+        _STUDY,
+        "results/metrics.csv", "1113b6b6be29986296dba5104067dac77af83252da9ab7d2f08fcbbb09dee762",
+        id="simulate-metrics",
+    ),
+    pytest.param(
+        _STUDY,
+        "results/cell000_pvalues.csv", "1b4602bb9f960d22108248dd1b4116493f30d666cb0d8c3eee4c28e41bdbe716",
+        id="simulate-exported-pvalues-0",
+    ),
+    pytest.param(
+        _STUDY,
+        "results/cell001_pvalues.csv", "10ee07fff4460adf6fb925691ab399beb69c96a4e98c1b11e4f2f93ff04a1ac6",
+        id="simulate-exported-pvalues-1",
+    ),
+    pytest.param(
+        _STUDY,
+        "stdout", "ed90b48c350050adf62c33a6438f9bdb2cffcfa1b29bc8e1c0f98e19cb8237ca",
+        id="simulate-stdout",
+    ),
+    pytest.param(
+        "pvalues stats.csv --shape equivalence --delta 3",
+        "stdout", "34fdf0083237a420ff50823ac3f87ac094aa00c28c46fe8852f2b56329bf3d51",
+        id="pvalues-stdout",
+    ),
+    pytest.param(
+        "pvalues stats.csv --csv",
+        "stdout", "c36ce58b8bf0e6a9447c3668fb235d41c7f6e238f9356da70727d2f111edabb5",
+        id="pvalues-csv-stdout",
+    ),
+    pytest.param(
+        "control stats.csv --gamma 0.3",
+        "stdout", "d6ade1845afa77cc93a45e1d74e7d0b71d0e65d43a7c63b5756aacb4b9c66e06",
+        id="control-stdout",
+    ),
+    pytest.param(
+        "control data.csv --delta 0.5 --gamma 0.4 --csv",
+        "stdout", "a7bae99db5523d6c4133ce1fff7b35703d28f8f399fb580e48088dceae427fa6",
+        id="control-csv-stdout",
+    ),
+    pytest.param(
+        "estimate stats.csv --t 1",
+        "stdout", "a313d3a9f62520e1d834a319daa036a30e2cbc6815ecb51a1a38e662ad3ea1d8",
+        id="estimate-stdout",
+    ),
+    pytest.param(
+        "exact-test ones.csv --test sign-flip --alpha 0.25",
+        "stdout", "4f2e8e492cff81732ffef80c2952bf3c12c7584493a0dadf510bf5649a028a48",
+        id="exact-test-stdout",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, output, digest", PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv, output, digest):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _PINNED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    data = out.encode("utf-8") if output == "stdout" else (tmp_path / output).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_version_flag(capsys):

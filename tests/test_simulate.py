@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -294,6 +295,18 @@ class TestStudySpec:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=f"study spec .*study.json: {key} must be"):
             StudySpec.from_json(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("pi0", [0.5, 1.5], "pi0 must be in"), ("rho", [0.0, 0.2, 1.0], "rho must be in"),
+         ("d", [1.0, -1.0], "d must be >= 0"), ("d", [1.0, math.inf], "d must be a finite number"),
+         ("delta", math.nan, "delta must be a finite number"),
+         ("noise_df", math.nan, "noise_df must be a finite number"),
+         ("t", math.inf, "t must be a finite number")],
+    )
+    def test_every_grid_cell_is_validated_at_construction(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            self._base(**{key: value})
 
     def test_seed_is_validated_at_construction(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):

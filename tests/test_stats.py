@@ -74,6 +74,16 @@ class TestDataMatrix:
                 group=np.array(["x", "x", "x"]),
             )
 
+    def test_arrays_are_read_only(self):
+        dm = _two_group_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            dm.values[0, 0] = np.inf
+        with pytest.raises(ValueError, match="read-only"):
+            dm.group[0] = "ctrl"
+        values = np.ones((2, 1))
+        DataMatrix(values=values, feature_names=("a",))
+        values[0, 0] = 2.0
+
     def test_group_queries_require_group(self):
         dm = DataMatrix(values=np.ones((2, 1)), feature_names=("a",))
         with pytest.raises(ValueError, match="no group column"):
@@ -311,6 +321,7 @@ ROUTE_CASES = [
         "statistics", "index,statistic,margin,note\n1,2.5,0.2,x\n0,1.5,0.1,y,z\n", "fast", id="statistics-extra-columns"
     ),
     pytest.param("statistics", "Index,Statistic\r\n1,2.5\r\n0,1.5\r\n", "fast", id="statistics-crlf"),
+    pytest.param("statistics", "index,statistic,margin\n1,2.5,0.2\n0,1.5,0.1\n", "fast", id="statistics-margin"),
     pytest.param(
         "statistics", 'index,statistic,margin,note\n0,1.5,0.1,"x\n1,2.5,0.2,"\n', "literal", id="statistics-quoted-note-over-lines"
     ),
@@ -331,6 +342,22 @@ def test_c_parser_route_matches_the_cell_loop(tmp_path, kind, text, route):
     outcome, kept_c_rows, literal = _routes(READERS[kind], path)
     assert outcome == literal
     assert kept_c_rows == (route == "fast")
+
+
+@pytest.mark.parametrize(
+    "kind, header",
+    [("statistics", "index,statistic"), ("statistics", "index,statistic,margin"), ("pvalues", "index,pvalue")],
+    ids=["statistics", "statistics-margin", "pvalues"],
+)
+@pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+def test_a_row_wider_than_an_exact_header_is_refused_on_both_routes(tmp_path, kind, header, quote):
+    # A decimal comma ("0,5" for 0.5) in the last value adds a cell to each row.
+    width = header.count(",") + 1
+    body = "".join(f"{quote}{j}{quote}" + ",0" * (width - 1) + ",5\n" for j in range(3))
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n{body}")
+    outcome, _, literal = _routes(READERS[kind], path)
+    assert outcome == literal == ("error", f"{path}: row 2 has {width + 1} cells, header has {width}")
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,9 +14,11 @@ Three families live here:
   statistics, one row per transformation with the identity in row 0.
 * P-value procedures: Benjamini-Hochberg step-up (mean FDP) and the
   Lehmann-Romano step-down (tail FDP) with critical values
-  ``alpha * (floor(gamma*i) + 1) / (m + floor(gamma*i) + 1 - i)``.  Each
-  sorts the p-values once, finds its cut k against the critical values,
-  and rejects {i : p_i <= p_(k)}.
+  ``alpha * (floor(gamma*i) + 1) / (m + floor(gamma*i) + 1 - i)``.  Both
+  are one row-wise step, ``_bh_lr``: it sorts each row of p-values once,
+  finds its cut k against the critical values, and rejects
+  {i : p_i <= p_(k)}.  The public functions run it on one row, the Monte
+  Carlo study on blocks of replicates.
 * Exact single-hypothesis tests by full enumeration of a transformation
   group: one-sample sign flips (all 2^n patterns) and two-group label
   permutations (all C(2n, n) distinct splits).  The split table is built
@@ -331,19 +333,30 @@ def _validated_pvalues(pvalues) -> np.ndarray:
     p = np.atleast_1d(np.asarray(pvalues, dtype=np.float64))
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pvalues must be a non-empty 1-d array")
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError("pvalues must all lie in [0, 1]")
     return p
 
 
-def _at_or_below(p: np.ndarray, s: np.ndarray, k: int) -> np.ndarray:
-    """Ascending indices i with p[i] <= s[k - 1], the k-th smallest p-value.
+def _bh_lr(p: np.ndarray, gamma: float, alpha: float | None = None) -> np.ndarray:
+    """BH (``alpha`` None) or the LR step-down at ``alpha``, on each row of an (R, m) block.
 
-    ``s`` is ``np.sort(p)``; k = 0 rejects nothing.
+    Checks that every p-value lies in [0, 1], in one pass, then sorts each
+    row once and finds its cut k against the procedure's critical values:
+    BH's k is the largest i with p_(i) <= gamma*i/m, LR's the number passing
+    before the first failure.  Returns the (R, m) rejection mask
+    ``p <= p_(k)``, all False where k = 0.
     """
-    if k == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(p <= s[k - 1])
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("pvalues must all lie in [0, 1]")
+    m = p.shape[-1]
+    s = np.sort(p, axis=-1)
+    if alpha is None:
+        passing = s <= _gamma(gamma) * np.arange(1, m + 1) / m
+        k = np.where(passing.any(axis=-1), m - np.argmax(passing[:, ::-1], axis=-1), 0)
+    else:
+        failing = s > lehmann_romano_critical_values(m, gamma, alpha)
+        k = np.where(failing.any(axis=-1), np.argmax(failing, axis=-1), m)
+    cut = np.where(k > 0, s[np.arange(s.shape[0]), k - 1], -np.inf)
+    return p <= cut[:, None]
 
 
 def benjamini_hochberg(pvalues, gamma: float) -> np.ndarray:
@@ -356,13 +369,7 @@ def benjamini_hochberg(pvalues, gamma: float) -> np.ndarray:
     with p_(k) passes its own critical value as well and a tie cannot
     straddle the cut: the set equals the first k of a stable sort.
     """
-    p = _validated_pvalues(pvalues)
-    gamma = _gamma(gamma)
-    m = p.size
-    s = np.sort(p)
-    passing = s <= gamma * np.arange(1, m + 1) / m
-    k = m - int(np.argmax(passing[::-1])) if passing.any() else 0
-    return _at_or_below(p, s, k)
+    return np.flatnonzero(_bh_lr(_validated_pvalues(pvalues)[None], gamma)[0])
 
 
 def lehmann_romano_critical_values(m: int, gamma: float, alpha: float = 0.5) -> np.ndarray:
@@ -391,12 +398,7 @@ def lehmann_romano_stepdown(pvalues, gamma: float, alpha: float = 0.5) -> np.nda
     a tie cannot straddle the first failure.  For m = 1 and gamma = 0 this
     reduces to rejecting iff p <= alpha.
     """
-    p = _validated_pvalues(pvalues)
-    crit = lehmann_romano_critical_values(p.size, gamma, alpha)
-    s = np.sort(p)
-    failing = s > crit
-    k = int(np.argmax(failing)) if failing.any() else p.size
-    return _at_or_below(p, s, k)
+    return np.flatnonzero(_bh_lr(_validated_pvalues(pvalues)[None], gamma, alpha)[0])
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,10 @@ def _cmd_pvalues(args) -> int:
 def _cmd_simulate(args) -> int:
     study = StudySpec.from_json(args.spec)
     if args.seed is not None:
-        study = StudySpec.from_dict({**study.to_dict(), "seed": args.seed})
+        try:
+            study = StudySpec.from_dict({**study.to_dict(), "seed": args.seed})
+        except ValueError as exc:
+            raise ValueError(f"--seed {args.seed}: {exc}") from None
     table = run_study(study, out_dir=args.out_dir)
     if args.csv:
         table._write_rows(sys.stdout)

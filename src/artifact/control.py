@@ -19,7 +19,9 @@ p-value that is uniform at the boundary of its null and stochastically
 larger inside it, given a model for the null density of ``T_j - mu_j``
 (symmetric around zero), for mean-FDP procedures that consume p-values.
 For the built-in densities each p-value is one pass, ``F(delta_j - T_j)`` or
-``F(|T_j| - delta_j)``; a ``user`` CDF keeps ``1 - F`` and the sign branch.
+``F(|T_j| - delta_j)``, in ``_builtin_pvalues``, which the Monte Carlo study
+runs on blocks of replicates; a ``user`` CDF keeps ``1 - F`` and the sign
+branch.
 Their ``index,pvalue`` file format lives in :mod:`artifact.stats`, whose
 readers and writers are imported here as aliases, not exported again.
 """
@@ -160,6 +162,19 @@ class PValueVector:
         object.__setattr__(self, "values", _read_only(vals))
 
 
+def _builtin_pvalues(statistics, margins, shape: HypothesisShape, null: NullDensitySpec) -> np.ndarray:
+    """A built-in null's p-values, one family per row when ``statistics`` is 2-d.
+
+    ``F(delta - T)`` for a directional family and ``F(|T| - delta)`` for an
+    equivalence family, in one pass, clipped to [0, 1] in place.
+    """
+    if shape is HypothesisShape.DIRECTIONAL:
+        p = null.cdf_at(margins - statistics)
+    else:
+        p = null.cdf_at(np.abs(statistics) - margins)
+    return np.clip(p, 0.0, 1.0, out=p)
+
+
 def directional_pvalues(sv: StatisticVector, null: NullDensitySpec) -> PValueVector:
     """Right-sided p-values ``P_j = 1 - F_j(T_j - delta_j)``.
 
@@ -171,9 +186,8 @@ def directional_pvalues(sv: StatisticVector, null: NullDensitySpec) -> PValueVec
     if sv.shape is not HypothesisShape.DIRECTIONAL:
         raise ValueError("directional_pvalues requires a directional statistic vector")
     if null.family != "user":
-        p = null.cdf_at(sv.margins - sv.statistics)
-    else:
-        p = null.sf_at(sv.statistics - sv.margins)
+        return PValueVector(_builtin_pvalues(sv.statistics, sv.margins, sv.shape, null), sv.shape)
+    p = null.sf_at(sv.statistics - sv.margins)
     return PValueVector(values=np.clip(p, 0.0, 1.0, out=p), shape=sv.shape)
 
 
@@ -188,12 +202,10 @@ def equivalence_pvalues(sv: StatisticVector, null: NullDensitySpec) -> PValueVec
     """
     if sv.shape is not HypothesisShape.EQUIVALENCE:
         raise ValueError("equivalence_pvalues requires an equivalence statistic vector")
-    x = np.abs(sv.statistics) - sv.margins
     if null.family != "user":
-        p = null.cdf_at(x)
-    else:
-        neg = sv.statistics < 0.0
-        p = np.empty_like(x)
-        p[neg] = null.sf_at(sv.statistics[neg] + sv.margins[neg])
-        p[~neg] = null.cdf_at(x[~neg])
+        return PValueVector(_builtin_pvalues(sv.statistics, sv.margins, sv.shape, null), sv.shape)
+    neg = sv.statistics < 0.0
+    p = np.empty_like(sv.statistics)
+    p[neg] = null.sf_at(sv.statistics[neg] + sv.margins[neg])
+    p[~neg] = null.cdf_at(sv.statistics[~neg] - sv.margins[~neg])
     return PValueVector(values=np.clip(p, 0.0, 1.0, out=p), shape=sv.shape)

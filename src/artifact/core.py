@@ -25,10 +25,11 @@ R and R- at every sorted position; the ends of the runs of equal ``|k|``
 are the grid points.  ``build_profile`` is that grid compressed to its run
 ends.  The control step lives here too, in ``_control_scan``: it finds s
 and s+ on the grid row by row, for one family (``control_mfdp``) or a block
-of Monte Carlo replicates (``control_coverage``).  The count at one
-threshold t is written once, in ``_count_at``: the rejected indices, R-(t),
-V~ = min(R-, R) and V~ / max(R, 1).  The four estimators and the tail of
-``control_mfdp`` (the estimate at s+) read it.
+of Monte Carlo replicates (``control_coverage`` and ``run_study``).  The
+count at one threshold t is written once, in ``_count_at``: the rejected
+indices, R-(t), V~ = min(R-, R) and V~ / max(R, 1).  The four estimators and
+the tail of ``control_mfdp`` (the estimate at s+) read it; ``_counts_at`` is
+the same count on each row of a block, which ``run_study`` reads.
 The closed-testing oracle (``ct_oracle``) re-derives its indicators from the
 defining inequalities on purpose, as an independent check.
 """
@@ -244,6 +245,18 @@ def _count_at(k: np.ndarray, t: float, upper: np.ndarray | None = None):
     r_minus = int(np.count_nonzero(below))
     v = min(r_minus, rejected.size)
     return rejected, r_minus, v, v / max(rejected.size, 1)
+
+
+def _counts_at(k: np.ndarray, t: float):
+    """``_count_at`` on each row of an (R, m) block of cuts, at one threshold t.
+
+    Returns the (R, m) rejection mask ``k > t`` and, per row, R,
+    V~ = min(R-, R) and FDP~ = V~ / max(R, 1), with R- = #{k < -t}.
+    """
+    rejected = k > t
+    r = np.count_nonzero(rejected, axis=1)
+    v = np.minimum(np.count_nonzero(k < -t, axis=1), r)
+    return rejected, r, v, v / np.maximum(r, 1)
 
 
 def build_profile(sv: StatisticVector) -> RejectionProfile:

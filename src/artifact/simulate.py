@@ -26,6 +26,10 @@ Reproducibility
 Replicate r of a scenario with seed s uses the generator seeded by
 ``SeedSequence([s, r])``; within a replicate the draw order is fixed: the
 noise first, then the row effects, which are skipped entirely when rho = 0.
+``run_study`` and ``control_coverage`` draw the replicates one at a time,
+each on its own stream, and score them in blocks of rows: one row of
+statistics per replicate, about ``_BLOCK_CELLS`` numbers per block, with
+the results of one call per replicate.
 The data and the statistics routes draw the row effects through one
 helper: one effect per row (n rows of data, or the single row of
 statistics), the null block first under ``independent_blocks``.
@@ -54,28 +58,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .baselines import (
-    TransformationGroup,
-    _guarded_floor,
-    _sam_estimate,
-    benjamini_hochberg,
-    lehmann_romano_stepdown,
-)
-from .control import (
-    NullDensitySpec,
-    control_mfdp,
-    directional_pvalues,
-    equivalence_pvalues,
-)
+from .baselines import TransformationGroup, _bh_lr, _guarded_floor, _sam_estimate
+from .control import NullDensitySpec, PValueVector, _builtin_pvalues
 from .core import HypothesisShape, InfeasibleError, StatisticVector
-from .core import _control_scan, _cuts, _gamma, _read_only
+from .core import _control_scan, _counts_at, _cuts, _gamma, _read_only
 from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
-from .estimators import (
-    CoinSource,
-    estimate_directional,
-    estimate_directional_randomized,
-    estimate_equivalence,
-)
+from .estimators import CoinSource, estimate_directional_randomized
 from .stats import DataMatrix, write_pvalues_csv
 
 __all__ = [
@@ -527,11 +515,16 @@ def _value_se(samples: list) -> tuple[float, float]:
 
 
 def _add_control(metrics: dict[str, list], truth: ScenarioTruth, rejected, gamma: float) -> None:
-    """The gamma-level control metrics: p_control, mean_rejections, power."""
-    metrics["p_control"].append(truth.fdp(rejected) <= gamma)
-    metrics["mean_rejections"].append(len(rejected))
+    """The gamma-level control metrics of each row of an (R, m) rejection mask.
+
+    p_control, mean_rejections and power, from R and the true false count V.
+    """
+    r = np.count_nonzero(rejected, axis=1)
+    v = np.count_nonzero(rejected & truth.null_mask, axis=1)
+    metrics["p_control"].extend((v / np.maximum(r, 1) <= gamma).tolist())
+    metrics["mean_rejections"].extend(r.tolist())
     if truth.n_false:
-        metrics["power"].append(truth.power_fraction(rejected))
+        metrics["power"].extend(((r - v) / truth.n_false).tolist())
 
 
 def _sam_ct_group(spec: ScenarioSpec) -> TransformationGroup:
@@ -541,17 +534,32 @@ def _sam_ct_group(spec: ScenarioSpec) -> TransformationGroup:
     return TransformationGroup.sign_flip_subsample(spec.n, 256, seed)
 
 
+def _replicate_blocks(spec: ScenarioSpec, cells_per_replicate: int) -> Iterator[range]:
+    """The spec's replicates in consecutive blocks of about ``_BLOCK_CELLS`` numbers."""
+    rows = max(1, _BLOCK_CELLS // cells_per_replicate)
+    for start in range(0, spec.replicates, rows):
+        yield range(start, min(start + rows, spec.replicates))
+
+
 def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> list[MetricRow]:
+    """One cell's metric rows: replicates drawn one at a time, scored in blocks of rows.
+
+    Each replicate is drawn by :func:`generate` or :func:`generate_statistics`
+    on its own ``SeedSequence([seed, r])`` stream, and its statistics become
+    one row of a block (its data matrix is kept beside it when SAM-full or
+    SAM+CT needs it).  Per block, the cuts are taken once; the estimate at
+    t, the novel control step, the p-values, BH and LR are then computed on
+    all rows together, with the results of one call per replicate.
+    novel-randomized (its own coin per replicate), SAM-full and SAM+CT stay
+    per replicate; SAM+CT reads its rejected row and true count from the
+    block.
+    """
     methods = study.methods
     t, gamma = study.t, study.gamma
     needs_data = bool({"SAM-full", "SAM+CT"} & set(methods))
     needs_pvalues = bool({"BH", "LR", "flexible-pvals-export"} & set(methods))
-    # novel and SAM-2 report the mirror estimate at t; SAM+CT bounds its rejections.
-    needs_estimate = bool({"novel", "SAM-2", "SAM+CT"} & set(methods))
-    estimate = (
-        estimate_directional if spec.shape is HypothesisShape.DIRECTIONAL else estimate_equivalence
-    )
     null_spec = NullDensitySpec.standard_normal()
+    truth = _scenario_means(spec)
     # Study statistics are sqrt(n) * column means: under a sign flip, (signs @ data) * scale.
     scale = math.sqrt(spec.n) / spec.n
 
@@ -575,60 +583,63 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     # Per method, each metric's per-replicate values, keyed in output order.
     values: dict[str, dict[str, list]] = {name: defaultdict(list) for name in methods}
 
-    for rep in range(spec.replicates):
-        if needs_data:
-            dm, truth = generate(spec, rep)
-            data = dm.values
-            sv = study_statistics(data, spec)
-        else:
-            sv, truth = generate_statistics(spec, rep)
-            data = None
-        pv = None
-        if needs_pvalues:
-            if spec.shape is HypothesisShape.DIRECTIONAL:
-                pv = directional_pvalues(sv, null_spec)
+    # A replicate holds m statistics, and its n x m data matrix when SAM needs it.
+    for reps in _replicate_blocks(spec, spec.m * (spec.n if needs_data else 1)):
+        svs, data = [], []
+        for rep in reps:
+            if needs_data:
+                data.append(generate(spec, rep)[0].values)
+                svs.append(study_statistics(data[-1], spec))
             else:
-                pv = equivalence_pvalues(sv, null_spec)
-        if needs_estimate:
-            est = estimate(sv, t)
-            v_true = truth.false_count(est.rejected)
+                svs.append(generate_statistics(spec, rep)[0])
+        block = np.stack([sv.statistics for sv in svs])
+        margins = svs[0].margins
+        k = _cuts(block, margins, spec.shape)
+        # The estimate at t, and its true false count V.
+        rejected, r, v_tilde, fdp_hat = _counts_at(k, t)
+        v_true = np.count_nonzero(rejected & truth.null_mask, axis=1)
+        if needs_pvalues:
+            p = _builtin_pvalues(block, margins, spec.shape, null_spec)
 
         for name in methods:
             metrics = values[name]
             if name == "novel":
-                metrics["mean_fdp_estimate"].append(est.fdp_hat)
-                metrics["mean_fdp_at_t"].append(v_true / max(est.r, 1))
-                metrics["p_fdp_le_estimate"].append(v_true <= est.v_tilde)
-                _add_control(metrics, truth, control_mfdp(sv, gamma).rejected, gamma)
+                metrics["mean_fdp_estimate"].extend(fdp_hat.tolist())
+                metrics["mean_fdp_at_t"].extend((v_true / np.maximum(r, 1)).tolist())
+                metrics["p_fdp_le_estimate"].extend((v_true <= v_tilde).tolist())
+                _add_control(metrics, truth, k > _control_scan(k, gamma)[2][:, None], gamma)
             elif name == "SAM-2":
-                metrics["mean_fdp_estimate"].append(est.fdp_hat)
-                metrics["p_fdp_le_estimate"].append(v_true <= est.v_tilde)
+                metrics["mean_fdp_estimate"].extend(fdp_hat.tolist())
+                metrics["p_fdp_le_estimate"].extend((v_true <= v_tilde).tolist())
             elif name == "novel-randomized":
-                coin_seed = int(
-                    np.random.SeedSequence([spec.seed, rep, 9001]).generate_state(1)[0]
-                )
-                rnd = estimate_directional_randomized(sv, t, CoinSource(coin_seed))
-                rnd_true = truth.false_count(rnd.rejected)
-                metrics["mean_fdp_estimate"].append(rnd.fdp_hat)
-                metrics["p_fdp_le_estimate"].append((not rnd.floored) and rnd_true <= rnd.v_tilde)
-                metrics["floor_rate"].append(rnd.floored)
+                for rep, sv in zip(reps, svs):
+                    coin_seed = int(
+                        np.random.SeedSequence([spec.seed, rep, 9001]).generate_state(1)[0]
+                    )
+                    rnd = estimate_directional_randomized(sv, t, CoinSource(coin_seed))
+                    rnd_true = truth.false_count(rnd.rejected)
+                    metrics["mean_fdp_estimate"].append(rnd.fdp_hat)
+                    metrics["p_fdp_le_estimate"].append((not rnd.floored) and rnd_true <= rnd.v_tilde)
+                    metrics["floor_rate"].append(rnd.floored)
             elif name == "SAM-full":
-                sam = _sam_estimate(flipped(name, data), groups[name], t, 0.5)
-                metrics["mean_fdp_estimate"].append(sam.fdp_bar)
-                metrics["p_fdp_le_estimate"].append(truth.false_count(sam.rejected) <= sam.v_bar)
+                for x in data:
+                    sam = _sam_estimate(flipped(name, x), groups[name], t, 0.5)
+                    metrics["mean_fdp_estimate"].append(sam.fdp_bar)
+                    metrics["p_fdp_le_estimate"].append(truth.false_count(sam.rejected) <= sam.v_bar)
             elif name == "SAM+CT":
-                family = LocalTestFamily._sam_from_statistics(flipped(name, data), t, 0.5)
-                closure = run_closure(family)
-                mask = indices_to_mask(est.rejected)
-                bound = closure.t_alpha(mask) if mask else 0
-                metrics["mean_ct_bound"].append(bound)
-                metrics["p_v_le_ct_bound"].append(v_true <= bound)
+                for x, row, v in zip(data, rejected, v_true.tolist()):
+                    family = LocalTestFamily._sam_from_statistics(flipped(name, x), t, 0.5)
+                    mask = indices_to_mask(np.flatnonzero(row))
+                    bound = run_closure(family).t_alpha(mask) if mask else 0
+                    metrics["mean_ct_bound"].append(bound)
+                    metrics["p_v_le_ct_bound"].append(v <= bound)
             elif name == "BH":
-                _add_control(metrics, truth, benjamini_hochberg(pv.values, gamma), gamma)
+                _add_control(metrics, truth, _bh_lr(p, gamma), gamma)
             elif name == "LR":
-                _add_control(metrics, truth, lehmann_romano_stepdown(pv.values, gamma), gamma)
-            elif name == "flexible-pvals-export" and rep == 0:
+                _add_control(metrics, truth, _bh_lr(p, gamma, 0.5), gamma)
+            elif name == "flexible-pvals-export" and reps.start == 0:
                 if out_dir is not None:
+                    pv = PValueVector(p[0], spec.shape)
                     write_pvalues_csv(pv, Path(out_dir) / f"cell{cell_id:03d}_pvalues.csv")
                 metrics["n_exported"].append(float(out_dir is not None))
 
@@ -654,9 +665,9 @@ def run_study(study: StudySpec, out_dir=None, threads: int | None = None) -> Met
     return MetricTable(rows=tuple(rows), study=study.to_dict())
 
 
-# control_coverage scans its replicates in blocks of about this many
-# statistics, so its peak memory does not grow with the replicate count.
-_COVERAGE_BLOCK_CELLS = 1 << 18
+# run_study and control_coverage score their replicates in blocks of about
+# this many numbers, so their peak memory does not grow with the replicate count.
+_BLOCK_CELLS = 1 << 18
 
 
 def control_coverage(spec: ScenarioSpec, gamma: float) -> dict:
@@ -667,17 +678,15 @@ def control_coverage(spec: ScenarioSpec, gamma: float) -> dict:
     independent blocks; for other dependence structures the estimate is
     reported without any claim.
 
-    Each replicate's statistics come from :func:`generate_statistics`.  The
-    replicates are stacked into blocks of rows and the ``control_mfdp``
-    threshold of every row is found in one block scan, with the same
-    thresholds, rejections and result as one ``control_mfdp`` call per
-    replicate.
+    Each replicate is drawn by :func:`generate_statistics`, one at a time on
+    its own ``SeedSequence([seed, r])`` stream, and its statistics become one
+    row of a block.  The ``control_mfdp`` threshold of every row is found in
+    one block scan, with the same thresholds, rejections and result as one
+    ``control_mfdp`` call per replicate.
     """
     gamma = _gamma(gamma)
     hits = np.empty(spec.replicates, dtype=bool)
-    block_rows = max(1, _COVERAGE_BLOCK_CELLS // spec.m)
-    for start in range(0, spec.replicates, block_rows):
-        reps = range(start, min(start + block_rows, spec.replicates))
+    for reps in _replicate_blocks(spec, spec.m):
         block = np.empty((len(reps), spec.m))
         for row, rep in zip(block, reps):
             sv, truth = generate_statistics(spec, rep)

@@ -557,6 +557,15 @@ class TestSimulate:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["seed"] == 123
 
+    def test_negative_seed_exits_2_naming_the_flag(self, capsys, spec_path, tmp_path):
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, "simulate", "--spec", str(spec_path), "--seed", "-1", "--out-dir", str(out_dir)
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --seed -1: seed must be >= 0\n"
+        assert not out_dir.exists()
+
     def test_infeasible_spec_exits_3(self, capsys, tmp_path):
         spec = {
             "n": 13, "m": 10, "pi0": 0.5, "rho": 0.0, "d": 1.0,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import defaultdict
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -15,16 +16,23 @@ from artifact import (
     InfeasibleError,
     LocalTestFamily,
     MetricTable,
+    NullDensitySpec,
     ScenarioSpec,
     ScenarioTruth,
     StatisticVector,
     StudySpec,
     TransformationGroup,
+    benjamini_hochberg,
     control_coverage,
     control_mfdp,
+    directional_pvalues,
+    equivalence_pvalues,
+    estimate_directional,
+    estimate_equivalence,
     generate,
     generate_statistics,
     indices_to_mask,
+    lehmann_romano_stepdown,
     read_pvalues_csv,
     run_closure,
     run_study,
@@ -632,8 +640,94 @@ class TestCoverageBlockScan:
         spec = ScenarioSpec(n=10, m=16, pi0=0.75, rho=0.3, d=0.4, replicates=50, seed=9)
         one_block = control_coverage(spec, 0.1)
         # 3 rows per block: 16 full blocks and a last block of 2 rows.
-        monkeypatch.setattr(simulate, "_COVERAGE_BLOCK_CELLS", 3 * spec.m + 1)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * spec.m + 1)
         assert control_coverage(spec, 0.1) == one_block == _mfdp_coverage(spec, 0.1)
+
+
+def _half_integers(sv: StatisticVector) -> StatisticVector:
+    """The statistics rounded to multiples of 1/2: ties, R == R- and, at a gridded margin, zero cuts."""
+    return StatisticVector(np.round(sv.statistics * 2.0) / 2.0, sv.margins, sv.shape)
+
+
+class TestStudyBlockRows:
+    """Every block row of the study engine against the per-replicate public routes.
+
+    The statistics are gridded to half-integers, so the rows carry ties,
+    R == R- at t and, where the margin is on the grid, zero cuts.  Spies on
+    ``_counts_at`` and ``_add_control`` record each block's estimate at t
+    and the novel, BH and LR rejection masks; the cap on the block size is
+    patched so that blocks of 1 and 7 rows straddle the replicates.
+    """
+
+    CASES = {
+        "directional": dict(pi0=0.8, d=0.3, t=1.0, gamma=0.1, methods=("novel", "SAM-2", "BH", "LR")),
+        "margin-on-grid": dict(pi0=0.6, d=0.4, delta=0.5, t=0.5, gamma=0.25, methods=("novel", "BH", "LR")),
+        "gamma-zero": dict(pi0=0.8, d=0.5, t=0.0, gamma=0.0, methods=("novel", "SAM-2", "BH", "LR")),
+        "equivalence": dict(pi0=0.5, d=0.1, shape=EQU, delta=1.0, t=0.5, gamma=0.1,
+                            methods=("novel", "BH", "LR")),
+        "data-route": dict(pi0=0.8, d=0.3, rho=0.3, t=1.0, gamma=0.1,
+                           methods=("novel", "SAM-2", "SAM-full", "BH", "LR")),
+    }
+
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["1-row", "7-rows", "one-block"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_match_the_public_routes(self, monkeypatch, case, rows):
+        study = StudySpec(**{"n": 6, "m": 14, "rho": 0.0, **self.CASES[case]}, replicates=23, seed=11)
+        scenario = next(study.cells())[1]
+        data_route = "SAM-full" in study.methods
+        draw_statistics, statistics_of = simulate.generate_statistics, simulate.study_statistics
+        monkeypatch.setattr(
+            simulate, "generate_statistics",
+            lambda spec, rep: (_half_integers(draw_statistics(spec, rep)[0]), simulate._scenario_means(spec)),
+        )
+        monkeypatch.setattr(
+            simulate, "study_statistics", lambda values, spec: _half_integers(statistics_of(values, spec))
+        )
+        if rows is not None:
+            cells = rows * study.m * (study.n if data_route else 1)
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", cells)
+        estimates, masks = [], defaultdict(list)
+        counts_at, add_control = simulate._counts_at, simulate._add_control
+
+        def spy_counts_at(k, t):
+            estimates.append(counts_at(k, t))
+            return estimates[-1]
+
+        def spy_add_control(metrics, truth, rejected, gamma):
+            masks[id(metrics)].append(rejected)
+            add_control(metrics, truth, rejected, gamma)
+
+        monkeypatch.setattr(simulate, "_counts_at", spy_counts_at)
+        monkeypatch.setattr(simulate, "_add_control", spy_add_control)
+        run_study(study)
+
+        expected_blocks = 1 if rows is None else -(-study.replicates // rows)
+        assert len(estimates) == expected_blocks
+        rejected, r, v_tilde, fdp_hat = (np.concatenate(part) for part in zip(*estimates))
+        novel, bh, lr = (np.concatenate(parts) for parts in masks.values())
+        directional = study.shape is DIR
+        estimate = estimate_directional if directional else estimate_equivalence
+        pvalues = directional_pvalues if directional else equivalence_pvalues
+        svs = [
+            _half_integers(
+                statistics_of(generate(scenario, rep)[0].values, scenario) if data_route
+                else draw_statistics(scenario, rep)[0]
+            )
+            for rep in range(study.replicates)
+        ]
+        for rep, sv in enumerate(svs):
+            est = estimate(sv, study.t)
+            np.testing.assert_array_equal(np.flatnonzero(rejected[rep]), est.rejected)
+            assert (r[rep], v_tilde[rep], fdp_hat[rep]) == (est.r, est.v_tilde, est.fdp_hat)
+            ctl = control_mfdp(sv, study.gamma)
+            np.testing.assert_array_equal(np.flatnonzero(novel[rep]), ctl.rejected)
+            p = pvalues(sv, NullDensitySpec.standard_normal()).values
+            np.testing.assert_array_equal(np.flatnonzero(bh[rep]), benjamini_hochberg(p, study.gamma))
+            np.testing.assert_array_equal(np.flatnonzero(lr[rep]), lehmann_romano_stepdown(p, study.gamma))
+        # The gridding gives what the test is about: zero cuts and rows where R == R- at t.
+        k = _cuts(np.stack([sv.statistics for sv in svs]), svs[0].margins, study.shape)
+        assert (k == 0.0).any()
+        assert (np.count_nonzero(k > study.t, axis=1) == np.count_nonzero(k < -study.t, axis=1)).any()
 
 
 def _row_digest(table: MetricTable) -> str:
@@ -684,6 +778,60 @@ class TestGoldenDigests:
     def test_study_rows(self, name, seed, digest):
         table = run_study(StudySpec(**getattr(self, name), seed=seed))
         assert _row_digest(table) == digest
+
+    # The shapes the row-wise study engine rewrites: equivalence cuts and
+    # p-values with the exported files, gamma = 0, correlated independent
+    # blocks on both routes, and the data route without SAM.
+    EQUIVALENCE_STUDY = dict(
+        n=10, m=30, pi0=(0.5, 0.8), rho=(0.0, 0.4), d=(0.0, 0.3), shape=EQU, delta=1.5,
+        methods=("novel", "BH", "LR", "flexible-pvals-export"), t=0.5, gamma=0.1, replicates=20,
+    )
+    GAMMA_ZERO_STUDY = dict(
+        n=10, m=40, pi0=(0.5, 1.0), rho=0.0, d=2.0,
+        methods=("novel", "novel-randomized", "SAM-2", "BH", "LR"), t=1.0, gamma=0.0, replicates=20,
+    )
+    BLOCKS_STUDY = dict(
+        n=10, m=30, pi0=0.6, rho=(0.3, 0.6), d=0.8, independent_blocks=True,
+        methods=("novel", "novel-randomized", "SAM-2", "SAM-full", "BH", "LR"), t=0.5, gamma=0.1,
+        replicates=20,
+    )
+    LAPLACE_STUDY = dict(
+        n=8, m=30, pi0=(0.3, 0.7), rho=(0.0, 0.2), d=0.6, noise="laplace",
+        methods=("novel", "novel-randomized", "SAM-2", "BH", "LR"), t=0.5, gamma=0.1, replicates=20,
+    )
+
+    @pytest.mark.parametrize(
+        "name, seed, digest",
+        [
+            ("GAMMA_ZERO_STUDY", 5121, "553fe08c43fd6837d8f33660b18b8de0977495f2f630b61f625fed52073a6495"),
+            ("GAMMA_ZERO_STUDY", 19001, "8149823939598d37833dbfcedeab908f5b880fc5fff1dc146d3ef6f356ce9949"),
+            ("BLOCKS_STUDY", 5121, "c843d5af942bf274fd623b272dba4cb0d5fcad6a78353bdd157428a020106631"),
+            ("BLOCKS_STUDY", 19001, "499f242e8a5317949c7687f1370294f638a32520cfd67ffed230140fa3cfae53"),
+            ("LAPLACE_STUDY", 5121, "43e8fa65e8c9a3ae01b49cb51a522e2a6fac6a90ce49ab55e0cea89ba87981c1"),
+            ("LAPLACE_STUDY", 19001, "0bb3d6f7e3566eb3411451bd1b4a7a5d9566804a7370c98030417d0addc501d8"),
+        ],
+    )
+    def test_engine_study_rows(self, name, seed, digest):
+        table = run_study(StudySpec(**getattr(self, name), seed=seed))
+        assert _row_digest(table) == digest
+
+    @pytest.mark.parametrize(
+        "seed, rows_digest, files_digest",
+        [
+            (5121, "5c43f04f0ab6f51660c6fc9ca08360b784b9acb9d8097c6698509e8dd02ce8cb",
+             "ced88c4786e03377884147f1419b83d42b91abe5654eeea06b4926396881c80a"),
+            (19001, "b9d8990e1388e85228841dce6e0c6083ab4da78dbe642e9bbdeb829efae4bf61",
+             "7bc7a457a7eea7e0e8ef61fc7cdc6b4c5647f46612201ae9a9efd2a25c6c253c"),
+        ],
+    )
+    def test_equivalence_study_rows_and_exported_files(self, tmp_path, seed, rows_digest, files_digest):
+        table = run_study(StudySpec(**self.EQUIVALENCE_STUDY, seed=seed), out_dir=tmp_path)
+        assert _row_digest(table) == rows_digest
+        files = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            files.update(path.name.encode())
+            files.update(path.read_bytes())
+        assert files.hexdigest() == files_digest
 
     @pytest.mark.parametrize(
         "spec, digest",

@@ -113,6 +113,8 @@ def _report(args, seed, pairs: list[tuple[str, str]], result: dict, *config_keys
 
 def _ensure_seed(args) -> int:
     """The seed in effect; drawn and printed (to stderr under ``--csv``) when none was given."""
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed {args.seed}: seed must be >= 0")
     if args.seed is None:
         args.seed = secrets.randbits(32)
         stream = sys.stderr if getattr(args, "csv", False) else sys.stdout

@@ -12,7 +12,7 @@ gamma, and by construction FDP~(s+) <= gamma while P(FDP(s+) <= gamma) >= 1/2
 under joint null symmetry with the null block independent of the rest.  The
 scan over M is ``core._control_scan``, which ``simulate.control_coverage``
 runs on blocks of replicates; the rejection set and the estimate at s+ are
-``core._count_at``, the count the estimators read.
+``core._counts_at`` on a one-row block, the count the estimators read.
 
 The p-value transforms turn each statistic/margin pair into a marginal
 p-value that is uniform at the boundary of its null and stochastically
@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ControlResult, HypothesisShape, StatisticVector
-from .core import _control_scan, _count_at, _gamma, _read_only, _signed_cuts
+from .core import _control_scan, _counts_at, _gamma, _read_only, _signed_cuts
 from .stats import read_pvalues_csv, write_pvalues_csv  # noqa: F401  (aliases, see above)
 
 __all__ = [
@@ -71,12 +71,12 @@ def control_mfdp(sv: StatisticVector, gamma: float) -> ControlResult:
     Its grid ends at a threshold where R is zero, so ``s_plus`` exists.
     """
     gamma = _gamma(gamma)
-    k = _signed_cuts(sv)
-    exceeds, s, s_plus = _control_scan(k[None], gamma)
+    k = _signed_cuts(sv)[None]
+    exceeds, s, s_plus = _control_scan(k, gamma)
     s_plus = float(s_plus[0])
-    rejected, _, v, fdp_hat = _count_at(k, s_plus)
+    rejected, r, _, v, fdp_hat = (row[0] for row in _counts_at(k, s_plus))
     s = float(s[0]) if exceeds[0] else None
-    return ControlResult(gamma, s, s_plus, rejected, rejected.size, v_tilde=v, fdp_hat=fdp_hat)
+    return ControlResult(gamma, s, s_plus, np.flatnonzero(rejected), int(r), int(v), float(fdp_hat))
 
 
 @dataclass(frozen=True)

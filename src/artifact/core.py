@@ -26,10 +26,12 @@ are the grid points.  ``build_profile`` is that grid compressed to its run
 ends.  The control step lives here too, in ``_control_scan``: it finds s
 and s+ on the grid row by row, for one family (``control_mfdp``) or a block
 of Monte Carlo replicates (``control_coverage`` and ``run_study``).  The
-count at one threshold t is written once, in ``_count_at``: the rejected
-indices, R-(t), V~ = min(R-, R) and V~ / max(R, 1).  The four estimators and
-the tail of ``control_mfdp`` (the estimate at s+) read it; ``_counts_at`` is
-the same count on each row of a block, which ``run_study`` reads.
+count at one threshold t is written once, in ``_counts_at``, row by row: the
+rejection mask, R(t), R-(t), V~ = min(R-, R) and V~ / max(R, 1).  The four
+estimators, the tail of ``control_mfdp`` (the estimate at s+) and
+``RejectionProfile.rejected_at`` read row 0 of a one-row block; ``run_study``
+reads a block of replicates.  The randomized estimator's tie rule is
+``_floored``, beside it, which the estimator and ``run_study`` both read.
 The closed-testing oracle (``ct_oracle``) re-derives its indicators from the
 defining inequalities on purpose, as an independent check.
 """
@@ -192,7 +194,7 @@ class RejectionProfile:
     def rejected_at(self, t: float) -> np.ndarray:
         """Indices (0-based) of the hypotheses rejected at threshold t."""
         _not_nan(t)
-        return _count_at(self._k, t)[0]
+        return np.flatnonzero(_counts_at(self._k[None], t)[0][0])
 
 
 def _not_nan(t) -> None:
@@ -233,30 +235,26 @@ def _grid(k: np.ndarray):
     return key.view(np.float64), r, r_minus, run_end
 
 
-def _count_at(k: np.ndarray, t: float, upper: np.ndarray | None = None):
-    """The estimate of the cuts ``k`` at one threshold t, written once.
+def _counts_at(k: np.ndarray, t: float, upper: np.ndarray | None = None):
+    """The estimate of each row of an (R, m) block of cuts at one threshold t.
 
-    Returns the rejected indices ``flatnonzero(k > t)``, the uncapped mirror
-    count R- = #{k < -t} (and ``t <= upper``, when given: the windowed
-    estimator's upper edge), V~ = min(R-, R) and FDP~ = V~ / max(R, 1).
-    """
-    rejected = np.flatnonzero(k > t)
-    below = k < -t if upper is None else (k < -t) & (t <= upper)
-    r_minus = int(np.count_nonzero(below))
-    v = min(r_minus, rejected.size)
-    return rejected, r_minus, v, v / max(rejected.size, 1)
-
-
-def _counts_at(k: np.ndarray, t: float):
-    """``_count_at`` on each row of an (R, m) block of cuts, at one threshold t.
-
-    Returns the (R, m) rejection mask ``k > t`` and, per row, R,
-    V~ = min(R-, R) and FDP~ = V~ / max(R, 1), with R- = #{k < -t}.
+    Returns the (R, m) rejection mask ``k > t`` and, per row, R, the
+    uncapped mirror count R- = #{k < -t} (and ``t <= upper``, when given:
+    the windowed estimator's upper edge), V~ = min(R-, R) and
+    FDP~ = V~ / max(R, 1).  One family is the block ``k[None]``.
     """
     rejected = k > t
-    r = np.count_nonzero(rejected, axis=1)
-    v = np.minimum(np.count_nonzero(k < -t, axis=1), r)
-    return rejected, r, v, v / np.maximum(r, 1)
+    below = k < -t
+    if upper is not None:
+        below &= t <= upper
+    r, r_minus = rejected.sum(axis=1), below.sum(axis=1)
+    v = np.minimum(r_minus, r)
+    return rejected, r, r_minus, v, v / np.maximum(r, 1)
+
+
+def _floored(coin, r, r_minus):
+    """The randomized estimate's floor: the coin came up on a tie R == R-."""
+    return coin & (r == r_minus)
 
 
 def build_profile(sv: StatisticVector) -> RejectionProfile:

@@ -23,14 +23,16 @@ guarantee additionally requires the null statistics to be mutually
 independent with unimodal symmetric densities.
 
 Each estimator checks its shape and threshold and reads the count at t from
-``core._count_at``, the one that ``control_mfdp`` reads at s+.
+``core._counts_at`` on a one-row block, the count that ``control_mfdp`` reads
+at s+ and the Monte Carlo study reads on blocks of replicates; the tie rule
+of the randomized estimate is ``core._floored``, which the study reads too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FdpEstimate, HypothesisShape, StatisticVector, _count_at, _signed_cuts
+from .core import FdpEstimate, HypothesisShape, StatisticVector, _counts_at, _floored, _signed_cuts
 
 __all__ = [
     "CoinSource",
@@ -68,16 +70,16 @@ def _estimate(estimator: str, shape, sv, t, upper=None, coin=None) -> FdpEstimat
     t = float(t)
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError(f"threshold t must be finite and >= 0, got {t}")
-    rejected, r_minus, v, fdp_hat = _count_at(_signed_cuts(sv), t, upper)
-    floor = None if coin is None else bool(coin.flip())
-    floored = bool(floor) and rejected.size == r_minus
+    rejected, r, r_minus, v, fdp_hat = (row[0] for row in _counts_at(_signed_cuts(sv)[None], t, upper))
+    floor = None if coin is None else coin.flip()
+    floored = floor is not None and bool(_floored(floor, r, r_minus))
     return FdpEstimate(
         estimator=estimator,
         t=t,
-        rejected=rejected,
-        r=rejected.size,
-        v_tilde=None if floored else v,
-        fdp_hat=0.0 if floored else fdp_hat,
+        rejected=np.flatnonzero(rejected),
+        r=int(r),
+        v_tilde=None if floored else int(v),
+        fdp_hat=0.0 if floored else float(fdp_hat),
         randomized=coin is not None,
         coin=floor,
         floored=floored,

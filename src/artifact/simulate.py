@@ -27,9 +27,10 @@ Replicate r of a scenario with seed s uses the generator seeded by
 ``SeedSequence([s, r])``; within a replicate the draw order is fixed: the
 noise first, then the row effects, which are skipped entirely when rho = 0.
 ``run_study`` and ``control_coverage`` draw the replicates one at a time,
-each on its own stream, and score them in blocks of rows: one row of
-statistics per replicate, about ``_BLOCK_CELLS`` numbers per block, with
-the results of one call per replicate.
+each on its own stream, in one loop (``_blocks``), and score them in blocks
+of rows: one row of statistics per replicate, about ``_BLOCK_CELLS`` numbers
+per block, with the results of one call per replicate.  The estimate at t,
+randomized too (only the coin is per replicate), is the block's ``_counts_at``.
 The data and the statistics routes draw the row effects through one
 helper: one effect per row (n rows of data, or the single row of
 statistics), the null block first under ``independent_blocks``.
@@ -61,9 +62,9 @@ import numpy as np
 from .baselines import TransformationGroup, _bh_lr, _guarded_floor, _sam_estimate
 from .control import NullDensitySpec, PValueVector, _builtin_pvalues
 from .core import HypothesisShape, InfeasibleError, StatisticVector
-from .core import _control_scan, _counts_at, _cuts, _gamma, _read_only
+from .core import _control_scan, _counts_at, _cuts, _floored, _gamma, _read_only
 from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
-from .estimators import CoinSource, estimate_directional_randomized
+from .estimators import CoinSource
 from .stats import DataMatrix, write_pvalues_csv
 
 __all__ = [
@@ -186,18 +187,19 @@ class ScenarioTruth:
         return int((~self.null_mask).sum())
 
     def false_count(self, rejected: np.ndarray) -> int:
-        """Number of true (null) hypotheses among the rejected indices."""
-        return int(self.null_mask[np.asarray(rejected, dtype=np.intp)].sum()) if len(rejected) else 0
+        """Null hypotheses among the rejected (integer) indices; a mask or floats raise ValueError."""
+        index = np.asarray(rejected)
+        if index.size and index.dtype.kind not in "iu":
+            raise ValueError(f"rejected must hold integer indices, got dtype {index.dtype}")
+        return int(self.null_mask[index.astype(np.intp, copy=False)].sum())
 
     def fdp(self, rejected: np.ndarray) -> float:
         return self.false_count(rejected) / max(len(rejected), 1)
 
     def power_fraction(self, rejected: np.ndarray) -> float:
         """Fraction of false hypotheses rejected; NaN when none are false."""
-        if self.n_false == 0:
-            return math.nan
         hits = len(rejected) - self.false_count(rejected)
-        return hits / self.n_false
+        return hits / self.n_false if self.n_false else math.nan
 
 
 def _unit_noise(rng: np.random.Generator, size, family: str, df: float) -> np.ndarray:
@@ -534,25 +536,37 @@ def _sam_ct_group(spec: ScenarioSpec) -> TransformationGroup:
     return TransformationGroup.sign_flip_subsample(spec.n, 256, seed)
 
 
-def _replicate_blocks(spec: ScenarioSpec, cells_per_replicate: int) -> Iterator[range]:
-    """The spec's replicates in consecutive blocks of about ``_BLOCK_CELLS`` numbers."""
-    rows = max(1, _BLOCK_CELLS // cells_per_replicate)
+def _blocks(spec: ScenarioSpec, needs_data: bool = False):
+    """The replicates, each drawn on its own stream, in blocks of about ``_BLOCK_CELLS`` numbers.
+
+    Yields each block's replicate range, its (R, m) statistics, the margins
+    and, with ``needs_data``, the data matrices (n * m numbers each) that
+    :func:`generate` drew; else :func:`generate_statistics` draws each row.
+    """
+    rows = max(1, _BLOCK_CELLS // (spec.m * (spec.n if needs_data else 1)))
     for start in range(0, spec.replicates, rows):
-        yield range(start, min(start + rows, spec.replicates))
+        reps = range(start, min(start + rows, spec.replicates))
+        block, data = np.empty((len(reps), spec.m)), []
+        for row, rep in zip(block, reps):
+            if needs_data:
+                data.append(generate(spec, rep)[0].values)
+                sv = study_statistics(data[-1], spec)
+            else:
+                sv = generate_statistics(spec, rep)[0]
+            row[:] = sv.statistics
+        yield reps, block, sv.margins, data
 
 
 def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> list[MetricRow]:
     """One cell's metric rows: replicates drawn one at a time, scored in blocks of rows.
 
-    Each replicate is drawn by :func:`generate` or :func:`generate_statistics`
-    on its own ``SeedSequence([seed, r])`` stream, and its statistics become
-    one row of a block (its data matrix is kept beside it when SAM-full or
-    SAM+CT needs it).  Per block, the cuts are taken once; the estimate at
-    t, the novel control step, the p-values, BH and LR are then computed on
-    all rows together, with the results of one call per replicate.
-    novel-randomized (its own coin per replicate), SAM-full and SAM+CT stay
-    per replicate; SAM+CT reads its rejected row and true count from the
-    block.
+    The blocks come from :func:`_blocks`, with each replicate's data matrix
+    when SAM-full or SAM+CT needs it.  Per block, the cuts are taken once;
+    the estimate at t, the novel control step, the p-values, BH and LR are
+    then computed on all rows together, with the results of one call per
+    replicate.  novel-randomized reads the block's estimate at t and draws
+    only each replicate's coin; SAM-full and SAM+CT stay per replicate, and
+    SAM+CT reads its rejected row and true count from the block.
     """
     methods = study.methods
     t, gamma = study.t, study.gamma
@@ -583,20 +597,10 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     # Per method, each metric's per-replicate values, keyed in output order.
     values: dict[str, dict[str, list]] = {name: defaultdict(list) for name in methods}
 
-    # A replicate holds m statistics, and its n x m data matrix when SAM needs it.
-    for reps in _replicate_blocks(spec, spec.m * (spec.n if needs_data else 1)):
-        svs, data = [], []
-        for rep in reps:
-            if needs_data:
-                data.append(generate(spec, rep)[0].values)
-                svs.append(study_statistics(data[-1], spec))
-            else:
-                svs.append(generate_statistics(spec, rep)[0])
-        block = np.stack([sv.statistics for sv in svs])
-        margins = svs[0].margins
+    for reps, block, margins, data in _blocks(spec, needs_data):
         k = _cuts(block, margins, spec.shape)
         # The estimate at t, and its true false count V.
-        rejected, r, v_tilde, fdp_hat = _counts_at(k, t)
+        rejected, r, r_minus, v_tilde, fdp_hat = _counts_at(k, t)
         v_true = np.count_nonzero(rejected & truth.null_mask, axis=1)
         if needs_pvalues:
             p = _builtin_pvalues(block, margins, spec.shape, null_spec)
@@ -612,15 +616,12 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 metrics["mean_fdp_estimate"].extend(fdp_hat.tolist())
                 metrics["p_fdp_le_estimate"].extend((v_true <= v_tilde).tolist())
             elif name == "novel-randomized":
-                for rep, sv in zip(reps, svs):
-                    coin_seed = int(
-                        np.random.SeedSequence([spec.seed, rep, 9001]).generate_state(1)[0]
-                    )
-                    rnd = estimate_directional_randomized(sv, t, CoinSource(coin_seed))
-                    rnd_true = truth.false_count(rnd.rejected)
-                    metrics["mean_fdp_estimate"].append(rnd.fdp_hat)
-                    metrics["p_fdp_le_estimate"].append((not rnd.floored) and rnd_true <= rnd.v_tilde)
-                    metrics["floor_rate"].append(rnd.floored)
+                seeds = (np.random.SeedSequence([spec.seed, rep, 9001]) for rep in reps)
+                coins = [CoinSource(int(s.generate_state(1)[0])).flip() for s in seeds]
+                floored = _floored(np.array(coins), r, r_minus)
+                metrics["mean_fdp_estimate"].extend(np.where(floored, 0.0, fdp_hat).tolist())
+                metrics["p_fdp_le_estimate"].extend((~floored & (v_true <= v_tilde)).tolist())
+                metrics["floor_rate"].extend(floored.tolist())
             elif name == "SAM-full":
                 for x in data:
                     sam = _sam_estimate(flipped(name, x), groups[name], t, 0.5)
@@ -678,23 +679,16 @@ def control_coverage(spec: ScenarioSpec, gamma: float) -> dict:
     independent blocks; for other dependence structures the estimate is
     reported without any claim.
 
-    Each replicate is drawn by :func:`generate_statistics`, one at a time on
-    its own ``SeedSequence([seed, r])`` stream, and its statistics become one
-    row of a block.  The ``control_mfdp`` threshold of every row is found in
+    The replicates come in blocks of rows from :func:`_blocks`, as in
+    ``run_study``.  The ``control_mfdp`` threshold of every row is found in
     one block scan, with the same thresholds, rejections and result as one
-    ``control_mfdp`` call per replicate.
+    ``control_mfdp`` call per replicate; the hits are the ``p_control``
+    events of the study's novel control step.
     """
     gamma = _gamma(gamma)
-    hits = np.empty(spec.replicates, dtype=bool)
-    for reps in _replicate_blocks(spec, spec.m):
-        block = np.empty((len(reps), spec.m))
-        for row, rep in zip(block, reps):
-            sv, truth = generate_statistics(spec, rep)
-            row[:] = sv.statistics
-        k = _cuts(block, sv.margins, spec.shape)
-        rejected = k > _control_scan(k, gamma)[2][:, None]
-        v = np.count_nonzero(rejected & truth.null_mask, axis=1)
-        r = np.count_nonzero(rejected, axis=1)
-        hits[reps.start : reps.stop] = v / np.maximum(r, 1) <= gamma
-    coverage, se = _prob_se(hits)
+    truth, metrics = _scenario_means(spec), defaultdict(list)
+    for _, block, margins, _ in _blocks(spec):
+        k = _cuts(block, margins, spec.shape)
+        _add_control(metrics, truth, k > _control_scan(k, gamma)[2][:, None], gamma)
+    coverage, se = _prob_se(metrics["p_control"])
     return {"gamma": gamma, "coverage": coverage, "se": se, "replicates": spec.replicates}

@@ -194,6 +194,11 @@ class TestEstimate:
             assert code == 2 and out == ""
             assert "--seed applies to --randomized only" in err
 
+    def test_negative_seed_exits_2_naming_the_flag(self, capsys, stats_csv):
+        code, out, err = run(capsys, "estimate", str(stats_csv), "--randomized", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --seed -1: seed must be >= 0\n"
+
     def test_windowed_equivalence(self, capsys, tmp_path):
         path = tmp_path / "eq.csv"
         path.write_text("index,statistic\n0,0.2\n1,-0.3\n2,2.6\n3,7.0\n")
@@ -662,6 +667,11 @@ class TestVerifyCt:
         )
         assert code == 2
         assert "max_m" in err
+
+    def test_negative_seed_exits_2_naming_the_flag(self, capsys):
+        code, out, err = run(capsys, "verify-ct", "--m", "4", "--instances", "1", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --seed -1: seed must be >= 0\n"
 
 
 # --- exact-test -------------------------------------------------------------

@@ -22,12 +22,14 @@ from artifact import (
     StatisticVector,
     StudySpec,
     TransformationGroup,
+    CoinSource,
     benjamini_hochberg,
     control_coverage,
     control_mfdp,
     directional_pvalues,
     equivalence_pvalues,
     estimate_directional,
+    estimate_directional_randomized,
     estimate_equivalence,
     generate,
     generate_statistics,
@@ -89,6 +91,19 @@ class TestScenarioTruth:
     def test_power_is_nan_without_false_hypotheses(self):
         truth = ScenarioTruth(mu=np.zeros(3), null_mask=np.ones(3, dtype=bool))
         assert np.isnan(truth.power_fraction(np.array([0])))
+
+    @pytest.mark.parametrize(
+        "rejected", [np.array([False, False, True]), np.array([2.7]), [2.0]], ids=["mask", "float", "float-list"]
+    )
+    def test_only_integer_indices_are_accepted(self, rejected):
+        # Cast to indices, the mask [F, F, T] would read as [0, 0, 1]: 3 false, fdp 1, power 0.
+        truth = ScenarioTruth(mu=np.array([0.0, 0.0, 2.0]), null_mask=np.array([True, True, False]))
+        for count in (truth.false_count, truth.fdp, truth.power_fraction):
+            with pytest.raises(ValueError, match="integer indices"):
+                count(rejected)
+        assert truth.false_count([2]) == 0 and truth.fdp((2,)) == 0.0
+        assert truth.power_fraction(np.array([2], dtype=np.uint8)) == 1.0
+        assert truth.false_count([]) == 0
 
 
 class TestGeneration:
@@ -655,18 +670,21 @@ class TestStudyBlockRows:
     The statistics are gridded to half-integers, so the rows carry ties,
     R == R- at t and, where the margin is on the grid, zero cuts.  Spies on
     ``_counts_at`` and ``_add_control`` record each block's estimate at t
-    and the novel, BH and LR rejection masks; the cap on the block size is
+    and the novel, BH and LR rejection masks, and a spy on ``_value_se``
+    each metric's per-replicate values; the cap on the block size is
     patched so that blocks of 1 and 7 rows straddle the replicates.
     """
 
     CASES = {
-        "directional": dict(pi0=0.8, d=0.3, t=1.0, gamma=0.1, methods=("novel", "SAM-2", "BH", "LR")),
+        "directional": dict(pi0=0.8, d=0.3, t=1.0, gamma=0.1,
+                            methods=("novel", "novel-randomized", "SAM-2", "BH", "LR")),
         "margin-on-grid": dict(pi0=0.6, d=0.4, delta=0.5, t=0.5, gamma=0.25, methods=("novel", "BH", "LR")),
-        "gamma-zero": dict(pi0=0.8, d=0.5, t=0.0, gamma=0.0, methods=("novel", "SAM-2", "BH", "LR")),
+        "gamma-zero": dict(pi0=0.8, d=0.5, t=0.0, gamma=0.0,
+                           methods=("novel", "novel-randomized", "SAM-2", "BH", "LR")),
         "equivalence": dict(pi0=0.5, d=0.1, shape=EQU, delta=1.0, t=0.5, gamma=0.1,
                             methods=("novel", "BH", "LR")),
         "data-route": dict(pi0=0.8, d=0.3, rho=0.3, t=1.0, gamma=0.1,
-                           methods=("novel", "SAM-2", "SAM-full", "BH", "LR")),
+                           methods=("novel", "novel-randomized", "SAM-2", "SAM-full", "BH", "LR")),
     }
 
     @pytest.mark.parametrize("rows", [1, 7, None], ids=["1-row", "7-rows", "one-block"])
@@ -686,8 +704,8 @@ class TestStudyBlockRows:
         if rows is not None:
             cells = rows * study.m * (study.n if data_route else 1)
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", cells)
-        estimates, masks = [], defaultdict(list)
-        counts_at, add_control = simulate._counts_at, simulate._add_control
+        estimates, masks, samples = [], defaultdict(list), []
+        counts_at, add_control, value_se = simulate._counts_at, simulate._add_control, simulate._value_se
 
         def spy_counts_at(k, t):
             estimates.append(counts_at(k, t))
@@ -697,13 +715,18 @@ class TestStudyBlockRows:
             masks[id(metrics)].append(rejected)
             add_control(metrics, truth, rejected, gamma)
 
+        def spy_value_se(values):
+            samples.append(values)
+            return value_se(values)
+
         monkeypatch.setattr(simulate, "_counts_at", spy_counts_at)
         monkeypatch.setattr(simulate, "_add_control", spy_add_control)
-        run_study(study)
+        monkeypatch.setattr(simulate, "_value_se", spy_value_se)
+        table = run_study(study)
 
         expected_blocks = 1 if rows is None else -(-study.replicates // rows)
         assert len(estimates) == expected_blocks
-        rejected, r, v_tilde, fdp_hat = (np.concatenate(part) for part in zip(*estimates))
+        rejected, r, _, v_tilde, fdp_hat = (np.concatenate(part) for part in zip(*estimates))
         novel, bh, lr = (np.concatenate(parts) for parts in masks.values())
         directional = study.shape is DIR
         estimate = estimate_directional if directional else estimate_equivalence
@@ -727,7 +750,31 @@ class TestStudyBlockRows:
         # The gridding gives what the test is about: zero cuts and rows where R == R- at t.
         k = _cuts(np.stack([sv.statistics for sv in svs]), svs[0].margins, study.shape)
         assert (k == 0.0).any()
-        assert (np.count_nonzero(k > study.t, axis=1) == np.count_nonzero(k < -study.t, axis=1)).any()
+        ties = np.count_nonzero(k > study.t, axis=1) == np.count_nonzero(k < -study.t, axis=1)
+        assert ties.any()
+        if "novel-randomized" in study.methods:
+            self._check_randomized_rows(study, scenario, svs, ties, table, samples)
+
+    @staticmethod
+    def _check_randomized_rows(study, scenario, svs, ties, table, samples):
+        """Each replicate's randomized metrics against the public estimator with its coin seed."""
+        per_replicate = {(row.method, row.metric): values for row, values in zip(table.rows, samples)}
+        fdp, covered, floored = (
+            per_replicate["novel-randomized", metric]
+            for metric in ("mean_fdp_estimate", "p_fdp_le_estimate", "floor_rate")
+        )
+        truth = simulate._scenario_means(scenario)
+        tie_coins = set()
+        for rep, sv in enumerate(svs):
+            coin_seed = np.random.SeedSequence([scenario.seed, rep, 9001]).generate_state(1)[0]
+            rnd = estimate_directional_randomized(sv, study.t, CoinSource(int(coin_seed)))
+            assert rnd.floored == (rnd.coin and ties[rep])
+            expected = (not rnd.floored) and truth.false_count(rnd.rejected) <= rnd.v_tilde
+            assert (fdp[rep], covered[rep], floored[rep]) == (rnd.fdp_hat, expected, rnd.floored)
+            if ties[rep]:
+                tie_coins.add(rnd.coin)
+        # Both branches of a tie occur: one floored, one kept.
+        assert tie_coins == {True, False}
 
 
 def _row_digest(table: MetricTable) -> str:

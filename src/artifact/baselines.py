@@ -73,12 +73,25 @@ def _guarded_floor(x: np.ndarray | float):
     return out if out.ndim else float(out)
 
 
-def _order_index(alpha: float, n_transforms: int) -> int:
-    """1-based index of the ceil((1-alpha)*B)-th smallest of B values."""
+def _alpha(alpha) -> float:
+    """``alpha`` as a float; outside (0, 1) it raises ``ValueError``."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return _cached_order_index(alpha, n_transforms)
+    return alpha
+
+
+def _check_sign_flip_n(n: int) -> None:
+    """Raise ``InfeasibleError`` when 2^n sign flips are too many to enumerate (n > 20)."""
+    if n > 20:
+        raise InfeasibleError(
+            f"full sign-flip enumeration needs n <= 20 (2^n transformations); got n={n}"
+        )
+
+
+def _order_index(alpha: float, n_transforms: int) -> int:
+    """1-based index of the ceil((1-alpha)*B)-th smallest of B values."""
+    return _cached_order_index(_alpha(alpha), n_transforms)
 
 
 @lru_cache(maxsize=256)
@@ -146,10 +159,7 @@ class TransformationGroup:
         """All 2^n sign-flip patterns (requires n <= 20)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n > 20:
-            raise InfeasibleError(
-                f"full sign-flip enumeration needs n <= 20 (2^n transformations); got n={n}"
-            )
+        _check_sign_flip_n(n)
         codes = np.arange(2**n, dtype=np.int64)
         bits = (codes[:, None] >> np.arange(n)[None, :]) & 1
         signs = (1 - 2 * bits).astype(np.int8)
@@ -377,9 +387,7 @@ def lehmann_romano_critical_values(m: int, gamma: float, alpha: float = 0.5) -> 
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     gamma = _gamma(gamma)
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = _alpha(alpha)
     i = np.arange(1, m + 1, dtype=np.float64)
     fl = _guarded_floor(gamma * i)
     return alpha * (fl + 1.0) / (m + fl + 1.0 - i)
@@ -441,10 +449,7 @@ def sign_flip_test(x, alpha: float) -> ExactTestResult:
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a non-empty 1-d array")
     n = x.size
-    if n > 20:
-        raise InfeasibleError(
-            f"full sign-flip enumeration needs n <= 20 (2^n transformations); got n={n}"
-        )
+    _check_sign_flip_n(n)
     # All 2^n signed sums by repeated doubling in one buffer: with s the k
     # sums so far, entries k..2k-1 become s - x_i and entries 0..k-1 s + x_i.
     # Index 0 keeps every +x_i, so it is the identity transformation's sum.

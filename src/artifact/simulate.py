@@ -187,11 +187,15 @@ class ScenarioTruth:
         return int((~self.null_mask).sum())
 
     def false_count(self, rejected: np.ndarray) -> int:
-        """Null hypotheses among the rejected (integer) indices; a mask or floats raise ValueError."""
+        """Null hypotheses among ``rejected``: distinct integer indices in 0..m-1, else ValueError."""
         index = np.asarray(rejected)
         if index.size and index.dtype.kind not in "iu":
             raise ValueError(f"rejected must hold integer indices, got dtype {index.dtype}")
-        return int(self.null_mask[index.astype(np.intp, copy=False)].sum())
+        index = index.astype(np.intp, copy=False)
+        m = self.null_mask.size
+        if index.size and (index.min() < 0 or index.max() >= m or np.bincount(index).max() > 1):
+            raise ValueError(f"rejected must hold distinct indices in 0..{m - 1}")
+        return int(self.null_mask[index].sum())
 
     def fdp(self, rejected: np.ndarray) -> float:
         return self.false_count(rejected) / max(len(rejected), 1)
@@ -501,17 +505,13 @@ class MetricTable:
         return {"study": dict(self.study), "rows": [asdict(r) for r in self.rows]}
 
 
-def _prob_se(events: list[bool]) -> tuple[float, float]:
-    arr = np.asarray(events, dtype=np.float64)
-    p = float(arr.mean())
-    return p, math.sqrt(p * (1.0 - p) / arr.size)
-
-
 def _value_se(samples: list) -> tuple[float, float]:
     """Events (bools) give a probability, other values a mean; each with its se."""
-    if np.asarray(samples).dtype == bool:
-        return _prob_se(samples)
-    arr = np.asarray(samples, dtype=np.float64)
+    arr = np.asarray(samples)
+    if arr.dtype == bool:
+        p = float(arr.mean())
+        return p, math.sqrt(p * (1.0 - p) / arr.size)
+    arr = arr.astype(np.float64)
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return float(arr.mean()), se
 
@@ -690,5 +690,5 @@ def control_coverage(spec: ScenarioSpec, gamma: float) -> dict:
     for _, block, margins, _ in _blocks(spec):
         k = _cuts(block, margins, spec.shape)
         _add_control(metrics, truth, k > _control_scan(k, gamma)[2][:, None], gamma)
-    coverage, se = _prob_se(metrics["p_control"])
+    coverage, se = _value_se(metrics["p_control"])
     return {"gamma": gamma, "coverage": coverage, "se": se, "replicates": spec.replicates}

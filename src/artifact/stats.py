@@ -14,9 +14,8 @@ CSV conventions
 * P-value files: header ``index,pvalue``, rows as in a statistics file,
   and every p-value in [0, 1].  Both formats are written at 17 significant
   digits, so a written file re-reads to bit-identical values.
-* Under a header of exactly the reader's columns, every row has as many
-  cells, so a decimal comma is rejected, naming the row; under a header
-  with further columns a row may end anywhere after its values.
+* Every row has as many cells as its header, so a decimal comma is
+  rejected, naming the row, also under a header with further columns.
 
 Every reader drops a leading UTF-8 byte-order mark and rejects a byte that
 is not UTF-8, naming the file and the line of the byte.
@@ -24,13 +23,14 @@ is not UTF-8, naming the file and the line of the byte.
 Reading routes
 --------------
 Every reader parses its header with :mod:`csv` and hands the rest of the
-file to numpy's C parser (``np.loadtxt``).  That route keeps a result only
-when the per-cell loop would return the same arrays bit for bit: a body of
-plain ASCII lines with no quote, no U+001C..U+001F and no empty line, every
-value finite, every row of raw data or under an exact header as wide as
-the header, two group labels, and statistic or p-value indices 0..m-1 once
-each.  Any other file is read again from the top by the per-cell loop, so
-every error message comes from that literal route.
+file to numpy's C parser (``np.loadtxt``).  That route keeps a parse only
+when the per-cell loop would read the same cells: a body of plain ASCII
+lines with no quote, no U+001C..U+001F and no empty line, every row as wide
+as the header and every cell a number.  Raw data must also hold finite
+values and two group labels there.  Any other file is read again from the
+top by the per-cell loop, which names the first malformed row.  The rules
+on the values of an ``index,<values>`` file (finite values; indices
+0..m-1, each once) are then checked once, whichever route read it.
 
 Indices are 0-based everywhere.
 """
@@ -159,24 +159,42 @@ def _restart(fh):
     return reader
 
 
-def _indexed_rows_fast(fh, n_values: int, exact: bool) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_read_indexed_rows`` by the C parser, or None where it would differ."""
-    dtype = np.dtype([("index", np.int64), ("values", np.float64, (n_values,))])
-    # Without usecols, loadtxt refuses a row wider than the dtype.
-    usecols = None if exact else range(n_values + 1)
-    rows = _loadtxt_plain(fh, dtype=dtype, usecols=usecols, ndmin=1)
+def _indexed_rows_fast(fh, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``_indexed_rows_literal`` by the C parser, or None where it would differ.
+
+    A row that is not ``width`` cells wide, as the header is, fails the parse.
+    """
+    dtype = np.dtype([("index", np.int64), ("values", np.float64, (width - 1,))])
+    rows = _loadtxt_plain(fh, dtype=dtype, ndmin=1)
     if rows is None:
         return None
-    index, table = rows["index"], rows["values"]
-    m = index.size
-    if not np.isfinite(table).all() or np.any((index < 0) | (index >= m)):
-        return None
-    order = np.full(m, -1, dtype=np.intp)
-    order[index] = np.arange(m)
-    if np.any(order < 0):
-        return None
     # Body row k is csv record (and file line) k + 2: no quote, no empty line.
-    return table[order], order + 2
+    return rows["index"], rows["values"], np.arange(2, rows.size + 2)
+
+
+def _indexed_rows_literal(path, reader, header: list[str], n_values: int):
+    """The indices, values and line numbers of the ``index,<values>`` rows left in ``reader``."""
+    lines: list[int] = []
+    indices: list[int] = []
+    values: list[float] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
+        try:
+            indices.append(int(row[0]))
+            values.extend(map(float, row[1 : n_values + 1]))
+        except ValueError:
+            raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
+        lines.append(lineno)
+    if not lines:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        index = np.array(indices, dtype=np.int64)
+    except OverflowError:  # out of range anyway: Python ints keep its digits for the message
+        index = np.array(indices, dtype=object)
+    return index, np.asarray(values, dtype=np.float64).reshape(-1, n_values), np.asarray(lines)
 
 
 def _read_indexed_rows(path, fh, header: list[str], n_values: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,55 +203,35 @@ def _read_indexed_rows(path, fh, header: list[str], n_values: int) -> tuple[np.n
     ``fh`` is an ``_open_csv`` file whose one-record ``header`` has been
     read; the ``n_values`` columns after the index are the values.  Returns
     the (m, n_values) values and the line number of each row, both in index
-    order.  Blank lines are skipped.  Every value must be finite, the indices
-    0..m-1, each once, and every row as wide as an exact header: a bad cell,
-    index or row width raises, naming the row.
+    order.  Blank lines are skipped.  Every row must be as wide as the
+    header, every value finite and the indices 0..m-1, each once: a bad
+    cell, index or row width raises, naming the row.
     """
-    columns = header[1 : n_values + 1]
-    exact = len(header) == n_values + 1
-    fast = _indexed_rows_fast(fh, n_values, exact)
-    if fast is not None:
-        return fast
-    lines: list[int] = []
-    indices: list[int] = []
-    values: list[float] = []
-    for lineno, row in enumerate(_restart(fh), start=2):
-        if not "".join(row).strip():
-            continue
-        if exact and len(row) != len(header):
-            raise ValueError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
-        try:
-            if len(row) <= n_values:
-                raise IndexError
-            indices.append(int(row[0]))
-            values.extend(map(float, row[1 : n_values + 1]))
-        except (ValueError, IndexError):
-            raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
-        lines.append(lineno)
-    if not lines:
-        raise ValueError(f"{path}: no data rows")
-    m = len(lines)
-    table = np.asarray(values, dtype=np.float64).reshape(m, n_values)
+    parsed = _indexed_rows_fast(fh, len(header))
+    if parsed is None:
+        parsed = _indexed_rows_literal(path, _restart(fh), header, n_values)
+    index, table, lines = parsed
+    table = table[:, :n_values]
+    m = index.size
     non_finite = np.argwhere(~np.isfinite(table))
     if non_finite.size:
         k, c = non_finite[0]
         raise ValueError(
-            f"{path}: row {lines[k]}, column '{columns[c]}': non-finite value {table[k, c]:g}"
+            f"{path}: row {lines[k]}, column '{header[c + 1]}': non-finite value {table[k, c]:g}"
         )
-    index = np.asarray(indices)
     stray = np.flatnonzero((index < 0) | (index >= m))
     if stray.size:
         k = int(stray[0])
         raise ValueError(
-            f"{path}: row {lines[k]}: index {indices[k]} is outside 0..{m - 1} "
+            f"{path}: row {lines[k]}: index {index[k]} is outside 0..{m - 1} "
             f"(the {m} rows must carry the indices 0..{m - 1}, each once)"
         )
     order = np.argsort(index, kind="stable")
     repeats = np.flatnonzero(np.diff(index[order]) == 0)
     if repeats.size:
         first, again = order[repeats[0]], order[repeats[0] + 1]
-        raise ValueError(f"{path}: row {lines[again]}: index {indices[again]} repeats row {lines[first]}")
-    return table[order], np.asarray(lines)[order]
+        raise ValueError(f"{path}: row {lines[again]}: index {index[again]} repeats row {lines[first]}")
+    return table[order], lines[order]
 
 
 @dataclass(frozen=True, eq=False)

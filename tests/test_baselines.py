@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import (
+    DataMatrix,
     ExactTestResult,
     HypothesisShape,
     InfeasibleError,
@@ -24,6 +25,7 @@ from artifact import (
     sam_two_transform,
     sign_flip_test,
     two_group_permutation_test,
+    two_group_statistics,
 )
 from artifact import baselines
 
@@ -319,6 +321,29 @@ def test_sam_two_transform_equals_directional_estimator():
         assert est_sam.r == est_dir.r
         assert est_sam.fdp_bar == est_dir.fdp_hat
         np.testing.assert_array_equal(est_sam.rejected, est_dir.rejected)
+
+
+def test_sam_two_transform_swap_equals_directional_estimator_on_tied_data():
+    """Swapping cases and controls negates a two-group statistic exactly: the mirror estimator again."""
+    rng = np.random.default_rng(60202)
+    n = 4
+    group = np.array(["case"] * n + ["control"] * n)
+    for _ in range(300):
+        m = int(rng.integers(1, 15))
+        names = tuple(f"f{j}" for j in range(m))
+
+        def statistic_fn(x):
+            return two_group_statistics(DataMatrix(x, names, group), 0.0).statistics
+
+        # Small integers tie statistics with each other, with zero and with t.
+        data = rng.integers(-2, 3, size=(2 * n, m)).astype(np.float64)
+        sv = two_group_statistics(DataMatrix(data, names, group), 0.0)
+        t = float(rng.choice(np.abs(sv.statistics)))
+        est_swap = sam_two_transform(data, statistic_fn, t, kind="swap")
+        est_dir = estimate_directional(sv, t)
+        assert est_swap.v_bar == est_dir.v_tilde
+        assert est_swap.r == est_dir.r
+        np.testing.assert_array_equal(est_swap.rejected, est_dir.rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,24 @@ class TestEstimate:
         payload = json.loads(out_path.read_text())
         assert payload["result"]["rejected_features"] == ["f1", "f2"]
 
+    def test_column_mean_statistics_take_ungrouped_data_only(self, capsys, grouped_csv, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("a,b,c\n2.0,0.5,-3.0\n4.0,0.5,-1.0\n")
+        out_path = tmp_path / "cm.json"
+        code, out, err = run(
+            capsys, "estimate", str(path), "--statistic", "column-mean", "--delta", "0", "--t", "1",
+            "--out", str(out_path),
+        )
+        # column means 3.0, 0.5, -2.0: only a clears t=1, and -2.0 is its mirror
+        assert code == 0 and err == ""
+        result = json.loads(out_path.read_text())["result"]
+        assert result["rejected_features"] == ["a"] and result["v_tilde"] == 1
+        code, out, err = run(
+            capsys, "estimate", str(grouped_csv), "--statistic", "column-mean", "--delta", "0", "--t", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: column-mean statistics take ungrouped data (drop the group column)\n"
+
     def test_randomized_with_seed(self, capsys, stats_csv, tmp_path):
         out_path = tmp_path / "rand.json"
         code, out, _ = run(

@@ -93,13 +93,23 @@ class TestScenarioTruth:
         assert np.isnan(truth.power_fraction(np.array([0])))
 
     @pytest.mark.parametrize(
-        "rejected", [np.array([False, False, True]), np.array([2.7]), [2.0]], ids=["mask", "float", "float-list"]
+        "rejected, problem",
+        [
+            (np.array([False, False, True]), "integer indices"),
+            (np.array([2.7]), "integer indices"),
+            ([2.0], "integer indices"),
+            ([-1], r"distinct indices in 0\.\.2"),
+            (np.array([0, 3]), r"distinct indices in 0\.\.2"),
+            ([2, 2], r"distinct indices in 0\.\.2"),
+        ],
+        ids=["mask", "float", "float-list", "negative", "past-m", "repeated"],
     )
-    def test_only_integer_indices_are_accepted(self, rejected):
+    def test_only_integer_indices_are_accepted(self, rejected, problem):
         # Cast to indices, the mask [F, F, T] would read as [0, 0, 1]: 3 false, fdp 1, power 0.
+        # Numpy would read -1 as the last index (power 1.0) and [2, 2] as two hits (power 2.0).
         truth = ScenarioTruth(mu=np.array([0.0, 0.0, 2.0]), null_mask=np.array([True, True, False]))
         for count in (truth.false_count, truth.fdp, truth.power_fraction):
-            with pytest.raises(ValueError, match="integer indices"):
+            with pytest.raises(ValueError, match=problem):
                 count(rejected)
         assert truth.false_count([2]) == 0 and truth.fdp((2,)) == 0.0
         assert truth.power_fraction(np.array([2], dtype=np.uint8)) == 1.0

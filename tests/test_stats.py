@@ -315,10 +315,15 @@ ROUTE_CASES = [
     pytest.param("statistics", _indexed("statistic", {10: "1_0"}), "literal", id="statistics-index-underscore"),
     pytest.param("statistics", _indexed("statistic", {2: "२"}), "literal", id="statistics-index-devanagari"),
     pytest.param("statistics", _indexed("statistic", {3: "\x1c3"}), "literal", id="statistics-index-file-separator"),
-    pytest.param("statistics", _indexed("statistic", {3: "2"}), "literal", id="statistics-index-repeated"),
-    pytest.param("statistics", _indexed("statistic", {3: "11"}), "literal", id="statistics-index-out-of-range"),
+    pytest.param("statistics", _indexed("statistic", {3: "2"}), "fast", id="statistics-index-repeated"),
+    pytest.param("statistics", _indexed("statistic", {3: "11"}), "fast", id="statistics-index-out-of-range"),
     pytest.param(
-        "statistics", "index,statistic,margin,note\n1,2.5,0.2,x\n0,1.5,0.1,y,z\n", "fast", id="statistics-extra-columns"
+        "statistics", "index,statistic,margin,note\n1,2.5,0.2,x\n0,1.5,0.1,y,z\n", "literal", id="statistics-extra-columns"
+    ),
+    pytest.param("statistics", "index,statistic,margin,note\n1,2.5,0.2,x\n0,1.5,0.1,y\n", "literal", id="statistics-note"),
+    pytest.param("statistics", "index,statistic,margin,note\n1,2.5,0.2,7\n0,1.5,0.1,8\n", "fast", id="statistics-numeric-note"),
+    pytest.param(
+        "statistics", "index,statistic,margin,note\n1,2.5,0.2,7\n0,1.5,0.1\n", "literal", id="statistics-row-narrower-than-header"
     ),
     pytest.param("statistics", "Index,Statistic\r\n1,2.5\r\n0,1.5\r\n", "fast", id="statistics-crlf"),
     pytest.param("statistics", "index,statistic,margin\n1,2.5,0.2\n0,1.5,0.1\n", "fast", id="statistics-margin"),
@@ -328,7 +333,8 @@ ROUTE_CASES = [
     pytest.param("pvalues", _indexed("pvalue", {3: "03", 4: "+4"}), "fast", id="pvalues-index-forms"),
     pytest.param("pvalues", _indexed("pvalue", {3: "3.0"}), "literal", id="pvalues-index-float"),
     pytest.param("pvalues", _indexed("pvalue", {10: "1_0"}), "literal", id="pvalues-index-underscore"),
-    pytest.param("pvalues", "index,pvalue,x\n1,0.5,y\n0,0.25\n", "fast", id="pvalues-ragged-extra-columns"),
+    pytest.param("pvalues", "index,pvalue,x\n1,0.5,y\n0,0.25\n", "literal", id="pvalues-ragged-extra-columns"),
+    pytest.param("pvalues", "index,pvalue,x\n1,0.5,y\n0,0.25,z\n", "literal", id="pvalues-extra-column"),
     pytest.param("pvalues", "index,pvalue\n2,0.5\n0,-0.25\n1,1.5\n", "fast", id="pvalues-outside-unit"),
     pytest.param("pvalues", "index,pvalue\n0,0.5\n\n\n1,1.5\n", "literal", id="pvalues-blank-lines-then-outside"),
     pytest.param("pvalues", "index,pvalue\n0,0.5\n \n1,1.5\n", "literal", id="pvalues-space-line-then-outside"),
@@ -346,12 +352,19 @@ def test_c_parser_route_matches_the_cell_loop(tmp_path, kind, text, route):
 
 @pytest.mark.parametrize(
     "kind, header",
-    [("statistics", "index,statistic"), ("statistics", "index,statistic,margin"), ("pvalues", "index,pvalue")],
-    ids=["statistics", "statistics-margin", "pvalues"],
+    [
+        ("statistics", "index,statistic"),
+        ("statistics", "index,statistic,margin"),
+        ("pvalues", "index,pvalue"),
+        ("statistics", "index,statistic,margin,note"),
+        ("pvalues", "index,pvalue,note"),
+    ],
+    ids=["statistics", "statistics-margin", "pvalues", "statistics-note", "pvalues-note"],
 )
 @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
 def test_a_row_wider_than_an_exact_header_is_refused_on_both_routes(tmp_path, kind, header, quote):
-    # A decimal comma ("0,5" for 0.5) in the last value adds a cell to each row.
+    # A decimal comma ("0,5" for 0.5) in the last cell adds a cell to each row,
+    # under an exact header and under one with further columns alike.
     width = header.count(",") + 1
     body = "".join(f"{quote}{j}{quote}" + ",0" * (width - 1) + ",5\n" for j in range(3))
     path = tmp_path / "in.csv"
@@ -608,6 +621,15 @@ class TestApplyMarginShift:
             b = estimate_directional(shifted, t)
             assert a.v_tilde == b.v_tilde
             np.testing.assert_array_equal(a.rejected, b.rejected)
+
+    @pytest.mark.parametrize("target", [0.75, np.linspace(-1.0, 2.0, 30)], ids=["scalar", "array"])
+    def test_shift_to_a_non_zero_target_is_the_difference_plus_the_target(self, target):
+        rng = np.random.default_rng(13)
+        sv = StatisticVector(statistics=rng.normal(size=30), margins=rng.uniform(-1, 1, size=30), shape=DIR)
+        shifted = apply_margin_shift(sv, new_margins=target)
+        expected = (sv.statistics - sv.margins) + target
+        assert shifted.statistics.tobytes() == expected.tobytes()
+        assert shifted.margins.tobytes() == np.broadcast_to(np.float64(target), (30,)).tobytes()
 
     def test_flip_is_an_involution(self):
         rng = np.random.default_rng(12)

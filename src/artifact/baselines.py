@@ -40,7 +40,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import InfeasibleError, _gamma, _read_only
+from .core import InfeasibleError, _gamma, _read_only, _row_counts
 
 __all__ = [
     "TransformationGroup",
@@ -284,19 +284,22 @@ def sam_bound(
     alpha : float
         One minus the quantile used for the bound, in (0, 1).
     """
-    return _sam_estimate(group.statistics(data, statistic_fn), group, t, alpha)
+    above = group.statistics(data, statistic_fn) > float(t)
+    return _sam_estimate(_row_counts(above), above[0], group, t, alpha)
 
 
-def _sam_estimate(stats: np.ndarray, group: TransformationGroup, t: float, alpha: float) -> SamEstimate:
-    """The SAM bound from a (B, m) statistics matrix, identity in row 0."""
+def _sam_estimate(counts, rejected, group: TransformationGroup, t: float, alpha: float) -> SamEstimate:
+    """The SAM bound from one count #{T_j > t} per transformation, identity first.
+
+    ``rejected`` is the identity's mask; only its count and the multiset of counts matter.
+    """
     t = float(t)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise ValueError(f"threshold t must be finite, got {t}")
-    counts = (stats > t).sum(axis=1)
     k = _order_index(alpha, group.size)
     bound = int(np.partition(counts, k - 1)[k - 1])
     observed = int(counts[0])  # identity is always row 0
-    rejected = np.flatnonzero(stats[0] > t)
+    rejected = np.flatnonzero(rejected)
     rejected.flags.writeable = False
     v_bar = min(bound, observed)
     return SamEstimate(

@@ -28,6 +28,7 @@ readers and writers are imported here as aliases, not exported again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,14 +109,14 @@ class NullDensitySpec:
     @classmethod
     def scaled_normal(cls, sigma: float) -> "NullDensitySpec":
         sigma = float(sigma)
-        if not (np.isfinite(sigma) and sigma > 0):
+        if not (math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be finite and > 0, got {sigma}")
         return cls(family="scaled-normal", sigma=sigma)
 
     @classmethod
     def student_t(cls, nu: float) -> "NullDensitySpec":
         nu = float(nu)
-        if not (np.isfinite(nu) and nu > 0):
+        if not (math.isfinite(nu) and nu > 0):
             raise ValueError(f"nu must be finite and > 0, got {nu}")
         return cls(family="student-t", nu=nu)
 

@@ -32,6 +32,8 @@ estimators, the tail of ``control_mfdp`` (the estimate at s+) and
 ``RejectionProfile.rejected_at`` read row 0 of a one-row block; ``run_study``
 reads a block of replicates.  The randomized estimator's tie rule is
 ``_floored``, beside it, which the estimator and ``run_study`` both read.
+Every count of a mask row is ``_row_counts``: R and R- here, the study's
+counts and the SAM bound's count per transformation.
 The closed-testing oracle (``ct_oracle``) re-derives its indicators from the
 defining inequalities on purpose, as an independent check.
 """
@@ -247,9 +249,26 @@ def _counts_at(k: np.ndarray, t: float, upper: np.ndarray | None = None):
     below = k < -t
     if upper is not None:
         below &= t <= upper
-    r, r_minus = rejected.sum(axis=1), below.sum(axis=1)
+    r, r_minus = _row_counts(rejected), _row_counts(below)
     v = np.minimum(r_minus, r)
     return rejected, r, r_minus, v, v / np.maximum(r, 1)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The True entries of each row of an (R, m) boolean mask: int32, or intp from m = 2^31 on."""
+    dtype = np.int32 if mask.shape[-1] < 2**31 else np.intp
+    return mask.view(np.uint8).sum(axis=1, dtype=dtype)
+
+
+def _distinct_indices(name: str, values, m: int) -> np.ndarray:
+    """``values`` as distinct integer indices in 0..m-1; anything else raises ``ValueError``."""
+    index = np.asarray(values)
+    if index.size and index.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer indices, got dtype {index.dtype}")
+    index = index.astype(np.intp, copy=False)
+    if index.size and (index.min() < 0 or index.max() >= m or np.bincount(index).max() > 1):
+        raise ValueError(f"{name} must hold distinct indices in 0..{m - 1}")
+    return index
 
 
 def _floored(coin, r, r_minus):

@@ -31,6 +31,7 @@ Local test families
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -91,7 +92,7 @@ def _indicator_bits(sv: StatisticVector, t: float, kind: str) -> tuple[np.ndarra
     separate so the oracle stays an independent route.
     """
     t = float(t)
-    if not np.isfinite(t) or t < 0.0:
+    if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"threshold t must be finite and >= 0, got {t}")
     stats = sv.statistics
     margins = sv.margins
@@ -229,7 +230,7 @@ class LocalTestFamily:
         summed over row 0's rejections) with it.
         """
         t = float(t)
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise ValueError(f"threshold t must be finite, got {t}")
         reject_bits = stats > t
         n_transforms, m = reject_bits.shape

@@ -61,8 +61,8 @@ import numpy as np
 
 from .baselines import TransformationGroup, _bh_lr, _guarded_floor, _sam_estimate
 from .control import NullDensitySpec, PValueVector, _builtin_pvalues
-from .core import HypothesisShape, InfeasibleError, StatisticVector
-from .core import _control_scan, _counts_at, _cuts, _floored, _gamma, _read_only
+from .core import HypothesisShape, InfeasibleError, StatisticVector, _control_scan, _counts_at, _cuts
+from .core import _distinct_indices, _floored, _gamma, _read_only, _row_counts
 from .ct_oracle import MAX_ORACLE_M, LocalTestFamily, indices_to_mask, run_closure
 from .estimators import CoinSource
 from .stats import DataMatrix, write_pvalues_csv
@@ -188,14 +188,7 @@ class ScenarioTruth:
 
     def false_count(self, rejected: np.ndarray) -> int:
         """Null hypotheses among ``rejected``: distinct integer indices in 0..m-1, else ValueError."""
-        index = np.asarray(rejected)
-        if index.size and index.dtype.kind not in "iu":
-            raise ValueError(f"rejected must hold integer indices, got dtype {index.dtype}")
-        index = index.astype(np.intp, copy=False)
-        m = self.null_mask.size
-        if index.size and (index.min() < 0 or index.max() >= m or np.bincount(index).max() > 1):
-            raise ValueError(f"rejected must hold distinct indices in 0..{m - 1}")
-        return int(self.null_mask[index].sum())
+        return int(self.null_mask[_distinct_indices("rejected", rejected, self.null_mask.size)].sum())
 
     def fdp(self, rejected: np.ndarray) -> float:
         return self.false_count(rejected) / max(len(rejected), 1)
@@ -521,8 +514,8 @@ def _add_control(metrics: dict[str, list], truth: ScenarioTruth, rejected, gamma
 
     p_control, mean_rejections and power, from R and the true false count V.
     """
-    r = np.count_nonzero(rejected, axis=1)
-    v = np.count_nonzero(rejected & truth.null_mask, axis=1)
+    r = _row_counts(rejected)
+    v = _row_counts(rejected & truth.null_mask)
     metrics["p_control"].extend((v / np.maximum(r, 1) <= gamma).tolist())
     metrics["mean_rejections"].extend(r.tolist())
     if truth.n_false:
@@ -534,6 +527,14 @@ def _sam_ct_group(spec: ScenarioSpec) -> TransformationGroup:
         return TransformationGroup.sign_flip_full(spec.n)
     seed = int(np.random.SeedSequence([spec.seed, 7301]).generate_state(1)[0])
     return TransformationGroup.sign_flip_subsample(spec.n, 256, seed)
+
+
+def _flip_counts(half: np.ndarray, t: float) -> np.ndarray:
+    """#{T > t} on each row of a full sign-flip product, from the product's first half.
+
+    Row 2^n - 1 - c of ``sign_flip_full`` is -row c: the second half counts #{half < -t}, reversed.
+    """
+    return np.concatenate([_row_counts(half > t), _row_counts(half < -t)[::-1]])
 
 
 def _blocks(spec: ScenarioSpec, needs_data: bool = False):
@@ -566,7 +567,9 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     then computed on all rows together, with the results of one call per
     replicate.  novel-randomized reads the block's estimate at t and draws
     only each replicate's coin; SAM-full and SAM+CT stay per replicate, and
-    SAM+CT reads its rejected row and true count from the block.
+    SAM+CT reads its rejected row and true count from the block.  SAM-full
+    multiplies only the first half of its sign flips (:func:`_flip_counts`);
+    every count of a mask row is ``core._row_counts``.
     """
     methods = study.methods
     t, gamma = study.t, study.gamma
@@ -582,11 +585,12 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
         groups["SAM-full"] = TransformationGroup.sign_flip_full(spec.n)
     if "SAM+CT" in methods:
         groups["SAM+CT"] = _sam_ct_group(spec)
-    # One float64 cast of each group's signs and one buffer per cell for every
-    # replicate's statistics; neither _sam_estimate nor the SAM+CT table keeps it.
-    flips = {
-        name: (g.signs.astype(np.float64), np.empty((g.size, spec.m))) for name, g in groups.items()
-    }
+    # One float64 cast of each group's signs (SAM-full's first half) and one
+    # buffer per cell for every replicate's statistics, which nothing keeps.
+    flips = {}
+    for name, g in groups.items():
+        signs = g.signs[: g.size // 2 if name == "SAM-full" else g.size].astype(np.float64)
+        flips[name] = signs, np.empty((len(signs), spec.m))
 
     def flipped(name: str, data: np.ndarray) -> np.ndarray:
         signs, out = flips[name]
@@ -601,7 +605,7 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
         k = _cuts(block, margins, spec.shape)
         # The estimate at t, and its true false count V.
         rejected, r, r_minus, v_tilde, fdp_hat = _counts_at(k, t)
-        v_true = np.count_nonzero(rejected & truth.null_mask, axis=1)
+        v_true = _row_counts(rejected & truth.null_mask)
         if needs_pvalues:
             p = _builtin_pvalues(block, margins, spec.shape, null_spec)
 
@@ -624,7 +628,8 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 metrics["floor_rate"].extend(floored.tolist())
             elif name == "SAM-full":
                 for x in data:
-                    sam = _sam_estimate(flipped(name, x), groups[name], t, 0.5)
+                    half = flipped(name, x)
+                    sam = _sam_estimate(_flip_counts(half, t), half[0] > t, groups[name], t, 0.5)
                     metrics["mean_fdp_estimate"].append(sam.fdp_bar)
                     metrics["p_fdp_le_estimate"].append(truth.false_count(sam.rejected) <= sam.v_bar)
             elif name == "SAM+CT":

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypothesisShape, StatisticVector, _read_only
+from .core import HypothesisShape, StatisticVector, _distinct_indices, _read_only
 
 __all__ = [
     "DataMatrix",
@@ -226,10 +226,12 @@ def _read_indexed_rows(path, fh, header: list[str], n_values: int) -> tuple[np.n
             f"{path}: row {lines[k]}: index {index[k]} is outside 0..{m - 1} "
             f"(the {m} rows must carry the indices 0..{m - 1}, each once)"
         )
-    order = np.argsort(index, kind="stable")
-    repeats = np.flatnonzero(np.diff(index[order]) == 0)
-    if repeats.size:
-        first, again = order[repeats[0]], order[repeats[0] + 1]
+    order = np.full(m, -1)
+    order[index] = np.arange(m)
+    if (order < 0).any():  # an index repeats: the stable sort finds its first two rows
+        order = np.argsort(index, kind="stable")
+        repeat = np.flatnonzero(np.diff(index[order]) == 0)[0]
+        first, again = order[repeat], order[repeat + 1]
         raise ValueError(f"{path}: row {lines[again]}: index {index[again]} repeats row {lines[first]}")
     return table[order], lines[order]
 
@@ -530,12 +532,13 @@ def apply_margin_shift(sv: StatisticVector, new_margins=None, flip=None) -> Stat
         ``T_j - delta_j`` difference.  Shifting to margin 0 is exact in
         floating point (the difference is formed once); other targets can
         move a cut point by one rounding step.
-    flip : boolean mask or index array, optional
-        Hypotheses to mirror.  For a directional family this negates both
-        statistic and margin, turning a left-sided null ``mu_j >= delta_j``
-        (tested on the negated scale) into the right-sided convention used
-        everywhere here.  For an equivalence family it negates the statistic
-        only (the family is sign-symmetric, so inference is unchanged).
+    flip : boolean mask of length m or distinct indices in 0..m-1, optional
+        Hypotheses to mirror; any other form raises ValueError.  For a
+        directional family this negates both statistic and margin, turning a
+        left-sided null ``mu_j >= delta_j`` (tested on the negated scale)
+        into the right-sided convention used everywhere here.  For an
+        equivalence family it negates the statistic only (the family is
+        sign-symmetric, so inference is unchanged).
 
     Applying the same flip twice returns the original vector.
     """
@@ -543,6 +546,10 @@ def apply_margin_shift(sv: StatisticVector, new_margins=None, flip=None) -> Stat
     margins = sv.margins.copy()
     if flip is not None:
         flip_idx = np.asarray(flip)
+        if flip_idx.dtype != bool:
+            flip_idx = _distinct_indices("flip", flip_idx, sv.m)
+        elif flip_idx.shape != stats.shape:
+            raise ValueError(f"flip must be a boolean mask of length {sv.m}, got shape {flip_idx.shape}")
         stats[flip_idx] = -stats[flip_idx]
         if sv.shape is HypothesisShape.DIRECTIONAL:
             margins[flip_idx] = -margins[flip_idx]

@@ -48,6 +48,12 @@ class TestTransformationGroup:
         # all 8 distinct patterns present
         assert len({tuple(row) for row in group.signs.tolist()}) == 8
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_full_sign_flip_rows_pair_with_their_negation(self, n):
+        # Row 2^n - 1 - c is -row c, which lets the study's SAM-full count from half the product.
+        signs = TransformationGroup.sign_flip_full(n).signs
+        np.testing.assert_array_equal(signs[::-1], -signs)
+
     def test_full_sign_flip_cap(self):
         with pytest.raises(InfeasibleError, match="n <= 20"):
             TransformationGroup.sign_flip_full(21)

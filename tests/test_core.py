@@ -29,6 +29,7 @@ from artifact import (
     estimate_equivalence,
     estimate_equivalence_windowed,
 )
+from artifact.core import _row_counts
 
 DIR = HypothesisShape.DIRECTIONAL
 EQU = HypothesisShape.EQUIVALENCE
@@ -348,6 +349,21 @@ class TestResultValidation:
                 v_tilde=1,
                 fdp_hat=1.0,
             )
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (5, 7), (5, 8), (5, 9), (5, 200), (0, 9), (4, 0)])
+@pytest.mark.parametrize("fill", ["random", "all-false", "all-true"])
+def test_row_counts_match_count_nonzero(shape, fill):
+    mask = {
+        "random": np.random.default_rng(shape[1]).random(shape) < 0.4,
+        "all-false": np.zeros(shape, dtype=bool),
+        "all-true": np.ones(shape, dtype=bool),
+    }[fill]
+    counts = _row_counts(mask)
+    assert counts.dtype == np.int32 and counts.shape == (shape[0],)
+    np.testing.assert_array_equal(counts, np.count_nonzero(mask, axis=1))
+    # A column slice is a strided view; it counts the same.
+    np.testing.assert_array_equal(_row_counts(mask[:, ::2]), np.count_nonzero(mask[:, ::2], axis=1))
 
 
 def test_result_arrays_are_read_only():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from artifact import (
+    DataMatrix,
     HypothesisShape,
     InfeasibleError,
     LocalTestFamily,
@@ -440,22 +441,51 @@ class TestRunStudy:
 
 
 class TestSamFullPath:
-    def test_matches_generic_sam_bound(self):
+    """The study's SAM-full, counted from half of the sign-flip product, against ``sam_bound``."""
+
+    @pytest.mark.parametrize("data", ["continuous", "half-integers"])
+    @pytest.mark.parametrize("n", [1, 2, 6, 10])
+    def test_matches_generic_sam_bound(self, monkeypatch, n, data):
+        scale = math.sqrt(n) / n
+        # On half-integer data every signed column sum is exact, and t = scale (a sum of 1)
+        # puts statistics exactly on t and on -t.
         study = StudySpec(
-            n=6, m=12, pi0=0.5, rho=0.3, d=0.8,
-            methods=("SAM-full",), t=0.5, gamma=0.2, replicates=4, seed=42,
+            n=n, m=12, pi0=0.5, rho=0.3, d=0.8, methods=("SAM-full",),
+            t=scale if data == "half-integers" else 0.5, gamma=0.2, replicates=12, seed=42,
         )
-        table = run_study(study, threads=1)
+        if data == "half-integers":
+            draw = simulate.generate
+            monkeypatch.setattr(simulate, "generate", lambda spec, rep: _half_integer_data(*draw(spec, rep)))
+        table = run_study(study)
         (cell_id, spec), = study.cells()
-        sqrt_n = np.sqrt(spec.n)
         group = TransformationGroup.sign_flip_full(spec.n)
-        fdp_bars = []
+        fdp_bars, covered, ties = [], [], 0
         for rep in range(spec.replicates):
-            dm, _ = generate(spec, rep)
-            est = sam_bound(dm.values, lambda x: sqrt_n * x.mean(axis=0), group, study.t)
+            dm, truth = simulate.generate(spec, rep)
+            est = sam_bound(dm.values, lambda x: x.sum(axis=0) * scale, group, study.t)
             fdp_bars.append(est.fdp_bar)
-        value, _ = table.get(cell_id, "SAM-full", "mean_fdp_estimate")
-        assert value == np.mean(fdp_bars)
+            covered.append(truth.false_count(est.rejected) <= est.v_bar)
+            ties += np.count_nonzero(np.abs(dm.values.sum(axis=0)) == 1.0)
+        assert table.get(cell_id, "SAM-full", "mean_fdp_estimate")[0] == np.mean(fdp_bars)
+        assert table.get(cell_id, "SAM-full", "p_fdp_le_estimate")[0] == np.mean(covered)
+        assert (ties > 0) == (data == "half-integers")
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_half_counts_equal_the_full_product_in_order(self, n):
+        # Half-integer data make every product entry exact, whatever order BLAS sums in.
+        x = np.round(np.random.default_rng(n).normal(0.2, 1.0, (n, 40)) * 2.0) / 2.0
+        scale = math.sqrt(n) / n
+        signs = TransformationGroup.sign_flip_full(n).signs.astype(np.float64)
+        full = (signs @ x) * scale
+        half = (signs[: len(signs) // 2] @ x) * scale
+        for t in (0.0, scale, 2.0 * scale):
+            assert (np.abs(full) == t).any()
+            np.testing.assert_array_equal(simulate._flip_counts(half, t), np.count_nonzero(full > t, axis=1))
+
+
+def _half_integer_data(dm: DataMatrix, truth: ScenarioTruth):
+    """A replicate's data rounded to multiples of 1/2, so that statistics tie."""
+    return DataMatrix(values=np.round(dm.values * 2.0) / 2.0, feature_names=dm.feature_names), truth
 
 
 class TestSamCtPath:

@@ -350,6 +350,20 @@ def test_c_parser_route_matches_the_cell_loop(tmp_path, kind, text, route):
     assert kept_c_rows == (route == "fast")
 
 
+def test_a_shuffled_file_reads_as_its_ordered_twin(tmp_path):
+    m = 50_000
+    values = np.random.default_rng(5).standard_normal((m, 2))
+    lines = [f"{j},{a!r},{b!r}\n" for j, (a, b) in enumerate(values.tolist())]
+    ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+    ordered.write_text("index,statistic,margin\n" + "".join(lines))
+    order = np.random.default_rng(6).permutation(m)
+    shuffled.write_text("index,statistic,margin\n" + "".join(lines[j] for j in order))
+    expected = _outcome(read_statistics_csv, ordered)
+    assert expected[0][2] == values[:, 0].tobytes() and expected[1][2] == values[:, 1].tobytes()
+    outcome, kept_c_rows, literal = _routes(read_statistics_csv, shuffled)
+    assert outcome == literal == expected and kept_c_rows
+
+
 @pytest.mark.parametrize(
     "kind, header",
     [
@@ -657,6 +671,25 @@ class TestApplyMarginShift:
         from artifact import estimate_equivalence
 
         assert estimate_equivalence(sv, t).v_tilde == estimate_equivalence(flipped, t).v_tilde
+
+    @pytest.mark.parametrize(
+        "flip, problem",
+        [
+            (np.array([1, 0, 1]), r"distinct indices in 0\.\.2"),
+            ([-1], r"distinct indices in 0\.\.2"),
+            (np.array([True, False]), "boolean mask of length 3"),
+        ],
+        ids=["zero-one-mask", "negative", "short-mask"],
+    )
+    def test_flip_must_be_a_full_mask_or_distinct_indices(self, flip, problem):
+        # Numpy would read [1, 0, 1] as indices, flipping 0 and 1 (1 twice, once in effect), and
+        # -1 as the last hypothesis; the short mask would raise IndexError.
+        sv = StatisticVector(statistics=np.array([3.0, 1.0, 2.0]), margins=0.5, shape=DIR)
+        with pytest.raises(ValueError, match=problem):
+            apply_margin_shift(sv, flip=flip)
+        flipped = apply_margin_shift(sv, flip=np.array([0, 2], dtype=np.uint8))
+        np.testing.assert_array_equal(flipped.statistics, [-3.0, 1.0, -2.0])
+        assert apply_margin_shift(sv, flip=[]).statistics.tobytes() == sv.statistics.tobytes()
 
     def test_margin_shift_rejected_for_equivalence(self):
         sv = StatisticVector(statistics=np.array([1.0]), margins=2.0, shape=EQU)

@@ -297,11 +297,10 @@ def _sam_estimate(counts, rejected, group: TransformationGroup, t: float, alpha:
     if not math.isfinite(t):
         raise ValueError(f"threshold t must be finite, got {t}")
     k = _order_index(alpha, group.size)
-    bound = int(np.partition(counts, k - 1)[k - 1])
     observed = int(counts[0])  # identity is always row 0
     rejected = np.flatnonzero(rejected)
     rejected.flags.writeable = False
-    v_bar = min(bound, observed)
+    v_bar = int(_sam_v_bars(counts[None], k)[0])
     return SamEstimate(
         t=t,
         rejected=rejected,
@@ -314,6 +313,11 @@ def _sam_estimate(counts, rejected, group: TransformationGroup, t: float, alpha:
         kind=group.kind,
         seed=group.seed,
     )
+
+
+def _sam_v_bars(counts: np.ndarray, k: int) -> np.ndarray:
+    """The bound of each row of an (R, B) count block, identity first: min(k-th smallest, observed)."""
+    return np.minimum(np.partition(counts, k - 1, axis=1)[:, k - 1], counts[:, 0])
 
 
 def sam_two_transform(

@@ -29,8 +29,14 @@ noise first, then the row effects, which are skipped entirely when rho = 0.
 ``run_study`` and ``control_coverage`` draw the replicates one at a time,
 each on its own stream, in one loop (``_blocks``), and score them in blocks
 of rows: one row of statistics per replicate, about ``_BLOCK_CELLS`` numbers
-per block, with the results of one call per replicate.  The estimate at t,
-randomized too (only the coin is per replicate), is the block's ``_counts_at``.
+per block, with the results of one call per replicate.  The loop runs the
+private draws behind ``generate`` and ``generate_statistics``, which return
+bare arrays, and writes each replicate's statistics straight into its row:
+the same bits as the public functions, without building a
+``StatisticVector`` or ``DataMatrix`` per replicate; each block is checked
+finite once.  The estimate at t, randomized too (only the coin is per
+replicate), is the block's ``_counts_at``; SAM-full's bound is taken once
+per block from each replicate's sign-flip counts.
 The data and the statistics routes draw the row effects through one
 helper: one effect per row (n rows of data, or the single row of
 statistics), the null block first under ``independent_blocks``.
@@ -59,7 +65,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .baselines import TransformationGroup, _bh_lr, _guarded_floor, _sam_estimate
+from .baselines import TransformationGroup, _bh_lr, _guarded_floor, _order_index, _sam_v_bars
 from .control import NullDensitySpec, PValueVector, _builtin_pvalues
 from .core import HypothesisShape, InfeasibleError, StatisticVector, _control_scan, _counts_at, _cuts
 from .core import _distinct_indices, _floored, _gamma, _read_only, _row_counts
@@ -240,11 +246,17 @@ def _feature_names(m: int) -> tuple[str, ...]:
 
 
 def _replicate(spec: ScenarioSpec, replicate_index: int):
-    """The truth and the ``SeedSequence([seed, r])`` generator of one replicate."""
+    """The truth and the generator of one replicate; the index must be a non-negative integer."""
+    if not isinstance(replicate_index, numbers.Integral) or isinstance(replicate_index, bool):
+        raise ValueError(f"replicate_index must be an integer, got {replicate_index!r}")
     if replicate_index < 0:
         raise ValueError("replicate_index must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, int(replicate_index)]))
-    return _scenario_means(spec), rng
+    return _scenario_means(spec), _stream(spec, int(replicate_index))
+
+
+def _stream(spec: ScenarioSpec, r: int) -> np.random.Generator:
+    """Replicate r's own generator, seeded by ``SeedSequence([spec.seed, r])``."""
+    return np.random.default_rng(np.random.SeedSequence([spec.seed, r]))
 
 
 def _row_effects(spec: ScenarioSpec, truth: ScenarioTruth, draw) -> np.ndarray:
@@ -270,19 +282,28 @@ def generate(spec: ScenarioSpec, replicate_index: int):
     ``mu / sqrt(n)`` so the statistic-scale means are exactly ``truth.mu``.
     """
     truth, rng = _replicate(spec, replicate_index)
+    return DataMatrix(values=_draw_data(spec, truth, rng), feature_names=_feature_names(spec.m)), truth
+
+
+def _draw_data(spec: ScenarioSpec, truth: ScenarioTruth, rng: np.random.Generator) -> np.ndarray:
+    """One replicate's n x m data from its generator: the noise, then the row effects."""
     eps = _unit_noise(rng, (spec.n, spec.m), spec.noise, spec.noise_df)
     values = truth.mu / math.sqrt(spec.n) + math.sqrt(1.0 - spec.rho) * eps
     if spec.rho > 0.0:
         values = values + _row_effects(
             spec, truth, lambda: _unit_noise(rng, spec.n, spec.noise, spec.noise_df)[:, None]
         )
-    return DataMatrix(values=values, feature_names=_feature_names(spec.m)), truth
+    return values
 
 
 def study_statistics(values: np.ndarray, spec: ScenarioSpec) -> StatisticVector:
     """The study statistic: root-n-scaled column means (unit-variance nulls)."""
-    t = math.sqrt(spec.n) * values.mean(axis=0)
-    return StatisticVector(t, spec.delta, spec.shape)
+    return StatisticVector(_statistic_row(values, spec), spec.delta, spec.shape)
+
+
+def _statistic_row(values: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
+    """``sqrt(n) * values.mean(axis=0)``, the study statistic of each column."""
+    return math.sqrt(spec.n) * values.mean(axis=0)
 
 
 def generate_statistics(spec: ScenarioSpec, replicate_index: int):
@@ -293,17 +314,24 @@ def generate_statistics(spec: ScenarioSpec, replicate_index: int):
     route because means of normals are normal); other noise families go
     through :func:`generate`, since their column means are not in-family.
     The two routes consume different random streams, so they agree in law,
-    not bit for bit.
+    not bit for bit.  Both draws are private functions that return bare
+    arrays; the study engine writes them straight into its block rows
+    (:func:`_blocks`), with the same bits as this function returns.
     """
     if spec.noise != "normal":
         dm, truth = generate(spec, replicate_index)
         return study_statistics(dm.values, spec), truth
     truth, rng = _replicate(spec, replicate_index)
+    return StatisticVector(_draw_statistics(spec, truth, rng), spec.delta, spec.shape), truth
+
+
+def _draw_statistics(spec: ScenarioSpec, truth: ScenarioTruth, rng: np.random.Generator) -> np.ndarray:
+    """One replicate's m statistics from its generator, on their own scale (normal noise)."""
     z = rng.standard_normal(spec.m)
     t = truth.mu + math.sqrt(1.0 - spec.rho) * z
     if spec.rho > 0.0:
         t = t + _row_effects(spec, truth, lambda: rng.standard_normal(1))
-    return StatisticVector(t, spec.delta, spec.shape), truth
+    return t
 
 
 def _as_grid(name: str, value) -> tuple[float, ...]:
@@ -540,22 +568,32 @@ def _flip_counts(half: np.ndarray, t: float) -> np.ndarray:
 def _blocks(spec: ScenarioSpec, needs_data: bool = False):
     """The replicates, each drawn on its own stream, in blocks of about ``_BLOCK_CELLS`` numbers.
 
-    Yields each block's replicate range, its (R, m) statistics, the margins
-    and, with ``needs_data``, the data matrices (n * m numbers each) that
-    :func:`generate` drew; else :func:`generate_statistics` draws each row.
+    Yields each block's replicate range, its (R, m) statistics, the cell's
+    read-only margins and, with ``needs_data``, the data matrices (n * m
+    numbers each).  Each row holds the bits that :func:`generate_statistics`
+    returns, or with ``needs_data`` those of :func:`study_statistics` on
+    :func:`generate`'s data: the private draws write it straight into the
+    block, and every block is checked finite once.
     """
+    from_data = needs_data or spec.noise != "normal"
+    truth = _scenario_means(spec)
+    margins = _read_only(np.full(spec.m, float(spec.delta)))
     rows = max(1, _BLOCK_CELLS // (spec.m * (spec.n if needs_data else 1)))
     for start in range(0, spec.replicates, rows):
         reps = range(start, min(start + rows, spec.replicates))
         block, data = np.empty((len(reps), spec.m)), []
         for row, rep in zip(block, reps):
-            if needs_data:
-                data.append(generate(spec, rep)[0].values)
-                sv = study_statistics(data[-1], spec)
+            rng = _stream(spec, rep)
+            if from_data:
+                values = _draw_data(spec, truth, rng)
+                row[:] = _statistic_row(values, spec)
+                if needs_data:
+                    data.append(values)
             else:
-                sv = generate_statistics(spec, rep)[0]
-            row[:] = sv.statistics
-        yield reps, block, sv.margins, data
+                row[:] = _draw_statistics(spec, truth, rng)
+        if not np.isfinite(block).all():
+            raise ValueError("statistics must all be finite")
+        yield reps, block, margins, data
 
 
 def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> list[MetricRow]:
@@ -566,10 +604,13 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     the estimate at t, the novel control step, the p-values, BH and LR are
     then computed on all rows together, with the results of one call per
     replicate.  novel-randomized reads the block's estimate at t and draws
-    only each replicate's coin; SAM-full and SAM+CT stay per replicate, and
-    SAM+CT reads its rejected row and true count from the block.  SAM-full
-    multiplies only the first half of its sign flips (:func:`_flip_counts`);
-    every count of a mask row is ``core._row_counts``.
+    only each replicate's coin.  The sign-flip products of SAM-full and
+    SAM+CT stay per replicate.  SAM-full multiplies only the first half of
+    its sign flips (:func:`_flip_counts`) and keeps, per replicate, its
+    counts and the identity's mask; its bound (``baselines._sam_v_bars``,
+    the routine of ``sam_bound``), FDP and true false count are then taken
+    once per block.  SAM+CT reads its rejected row and true count from the
+    block.  Every count of a mask row is ``core._row_counts``.
     """
     methods = study.methods
     t, gamma = study.t, study.gamma
@@ -583,6 +624,7 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     groups = {}
     if "SAM-full" in methods:
         groups["SAM-full"] = TransformationGroup.sign_flip_full(spec.n)
+        sam_order = _order_index(0.5, groups["SAM-full"].size)
     if "SAM+CT" in methods:
         groups["SAM+CT"] = _sam_ct_group(spec)
     # One float64 cast of each group's signs (SAM-full's first half) and one
@@ -627,11 +669,16 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
                 metrics["p_fdp_le_estimate"].extend((~floored & (v_true <= v_tilde)).tolist())
                 metrics["floor_rate"].extend(floored.tolist())
             elif name == "SAM-full":
-                for x in data:
+                counts = np.empty((len(reps), groups[name].size), dtype=np.int32)
+                above = np.empty((len(reps), spec.m), dtype=bool)
+                for x, count_row, mask_row in zip(data, counts, above):
                     half = flipped(name, x)
-                    sam = _sam_estimate(_flip_counts(half, t), half[0] > t, groups[name], t, 0.5)
-                    metrics["mean_fdp_estimate"].append(sam.fdp_bar)
-                    metrics["p_fdp_le_estimate"].append(truth.false_count(sam.rejected) <= sam.v_bar)
+                    count_row[:] = _flip_counts(half, t)
+                    np.greater(half[0], t, out=mask_row)
+                v_bar = _sam_v_bars(counts, sam_order)
+                # Both counts are exact in float64: the quotient is SamEstimate.fdp_bar's, bit for bit.
+                metrics["mean_fdp_estimate"].extend((v_bar / np.maximum(counts[:, 0], 1)).tolist())
+                metrics["p_fdp_le_estimate"].extend((_row_counts(above & truth.null_mask) <= v_bar).tolist())
             elif name == "SAM+CT":
                 for x, row, v in zip(data, rejected, v_true.tolist()):
                     family = LocalTestFamily._sam_from_statistics(flipped(name, x), t, 0.5)

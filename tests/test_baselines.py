@@ -287,6 +287,26 @@ class TestSamBound:
         assert tight.order_index == 31
         assert tight.v_bar >= loose.v_bar
 
+    @pytest.mark.parametrize("size", [2, 5, 1024])
+    def test_row_bounds_equal_the_sorted_order_statistic(self, size):
+        # Few distinct counts give ties at the order statistic; column 0 is the observed count.
+        rng = np.random.default_rng(size)
+        counts = rng.integers(0, 4, size=(60, size)).astype(np.int32)
+        counts[:10, 0] = 0
+        counts[10:15] = 2
+        for k in {1, (size + 1) // 2, baselines._order_index(0.5, size), size}:
+            v_bar = baselines._sam_v_bars(counts, k)
+            assert v_bar.tolist() == [min(sorted(row)[k - 1], row[0]) for row in counts.tolist()]
+            assert (v_bar[:10] == 0).all()
+
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_one_row_bound_equals_sam_bound(self, n):
+        data = np.random.default_rng(n).normal(0.3, 1.0, size=(n, 30))
+        group = TransformationGroup.sign_flip_full(n)
+        est = sam_bound(data, _column_sums, group, t=0.5)
+        counts = np.count_nonzero(group.statistics(data, _column_sums) > 0.5, axis=1)
+        assert baselines._sam_v_bars(counts[None], est.order_index).tolist() == [est.v_bar]
+
     def test_non_finite_threshold_raises(self):
         data = np.array([[0.34, -0.34]] * 3)
         group = TransformationGroup.sign_flip_full(3)

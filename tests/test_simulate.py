@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from artifact import (
-    DataMatrix,
     HypothesisShape,
     InfeasibleError,
     LocalTestFamily,
@@ -43,7 +42,7 @@ from artifact import (
 )
 from artifact import simulate
 from artifact.core import _control_scan, _cuts
-from artifact.simulate import STUDY_METHODS, study_statistics
+from artifact.simulate import NOISE_FAMILIES, STUDY_METHODS, study_statistics
 from test_control import _literal_scan
 
 DIR = HypothesisShape.DIRECTIONAL
@@ -141,6 +140,19 @@ class TestGeneration:
         c, _ = generate(spec, 3)
         assert not np.array_equal(a.values, c.values)
         assert a.feature_names[0] == "h0001"
+
+    @pytest.mark.parametrize("route", [generate, generate_statistics])
+    @pytest.mark.parametrize("index", [2.7, np.float64(2.0), True], ids=["float", "float64", "bool"])
+    def test_replicate_index_must_be_an_integer(self, route, index):
+        spec = ScenarioSpec(n=4, m=6, pi0=0.5, d=1.0, seed=3)
+        with pytest.raises(ValueError, match="replicate_index must be an integer"):
+            route(spec, index)
+
+    def test_numpy_integer_replicate_index_is_accepted(self):
+        spec = ScenarioSpec(n=4, m=6, pi0=0.5, d=1.0, seed=3)
+        np.testing.assert_array_equal(
+            generate_statistics(spec, np.int64(2))[0].statistics, generate_statistics(spec, 2)[0].statistics
+        )
 
     def test_study_statistics_scale(self):
         spec = ScenarioSpec(n=9, m=2, pi0=1.0, delta=0.4)
@@ -454,8 +466,8 @@ class TestSamFullPath:
             t=scale if data == "half-integers" else 0.5, gamma=0.2, replicates=12, seed=42,
         )
         if data == "half-integers":
-            draw = simulate.generate
-            monkeypatch.setattr(simulate, "generate", lambda spec, rep: _half_integer_data(*draw(spec, rep)))
+            draw = simulate._draw_data
+            monkeypatch.setattr(simulate, "_draw_data", lambda *args: _half_integer_values(draw(*args)))
         table = run_study(study)
         (cell_id, spec), = study.cells()
         group = TransformationGroup.sign_flip_full(spec.n)
@@ -483,9 +495,9 @@ class TestSamFullPath:
             np.testing.assert_array_equal(simulate._flip_counts(half, t), np.count_nonzero(full > t, axis=1))
 
 
-def _half_integer_data(dm: DataMatrix, truth: ScenarioTruth):
-    """A replicate's data rounded to multiples of 1/2, so that statistics tie."""
-    return DataMatrix(values=np.round(dm.values * 2.0) / 2.0, feature_names=dm.feature_names), truth
+def _half_integer_values(values: np.ndarray) -> np.ndarray:
+    """Values rounded to multiples of 1/2, so that statistics tie."""
+    return np.round(values * 2.0) / 2.0
 
 
 class TestSamCtPath:
@@ -699,16 +711,70 @@ class TestCoverageBlockScan:
         assert control_coverage(spec, 0.1) == one_block == _mfdp_coverage(spec, 0.1)
 
 
+class TestBlockDraws:
+    """``_blocks`` against the public draws: rows, margins and data bit for bit, and its finiteness check."""
+
+    @pytest.mark.parametrize("needs_data", [False, True], ids=["statistics", "data"])
+    @pytest.mark.parametrize("independent_blocks", [False, True], ids=["one-effect", "blocks"])
+    @pytest.mark.parametrize("rho", [0.0, 0.4])
+    @pytest.mark.parametrize("noise", NOISE_FAMILIES)
+    def test_rows_margins_and_data_equal_the_public_draws(self, monkeypatch, noise, rho, independent_blocks,
+                                                           needs_data):
+        spec = ScenarioSpec(n=5, m=9, pi0=0.6, rho=rho, d=0.5, delta=0.25, noise=noise,
+                            independent_blocks=independent_blocks, replicates=11, seed=21)
+        # 4 rows per block: blocks of 4, 4 and 3 replicates.
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 4 * spec.m * (spec.n if needs_data else 1))
+        blocks = list(simulate._blocks(spec, needs_data))
+        assert [reps for reps, *_ in blocks] == [range(0, 4), range(4, 8), range(8, 11)]
+        for reps, block, margins, data in blocks:
+            assert len(data) == (len(reps) if needs_data else 0)
+            assert not margins.flags.writeable
+            for i, rep in enumerate(reps):
+                if needs_data:
+                    values = generate(spec, rep)[0].values
+                    assert data[i].tobytes() == values.tobytes()
+                    sv = study_statistics(values, spec)
+                else:
+                    sv = generate_statistics(spec, rep)[0]
+                assert block[i].tobytes() == sv.statistics.tobytes()
+                assert margins.tobytes() == sv.margins.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("route", ["study", "study-data", "coverage"])
+    def test_one_non_finite_draw_is_refused(self, monkeypatch, route, bad):
+        draw_name = "_draw_data" if route == "study-data" else "_draw_statistics"
+        draw = getattr(simulate, draw_name)
+
+        def spoiled(spec, truth, rng):
+            out = draw(spec, truth, rng)
+            if spoiled.calls == 13:
+                out.flat[2] = bad
+            spoiled.calls += 1
+            return out
+
+        spoiled.calls = 0
+        monkeypatch.setattr(simulate, draw_name, spoiled)
+        methods = ("novel", "SAM-full", "BH") if route == "study-data" else ("novel", "SAM-2", "BH", "LR")
+        with pytest.raises(ValueError, match="^statistics must all be finite$"):
+            if route == "coverage":
+                control_coverage(ScenarioSpec(n=4, m=6, pi0=1.0, replicates=20, seed=5), 0.1)
+            else:
+                run_study(StudySpec(n=4, m=6, pi0=0.5, rho=0.0, d=1.0, methods=methods, t=1.0, gamma=0.1,
+                                    replicates=20, seed=5))
+
+
 def _half_integers(sv: StatisticVector) -> StatisticVector:
     """The statistics rounded to multiples of 1/2: ties, R == R- and, at a gridded margin, zero cuts."""
-    return StatisticVector(np.round(sv.statistics * 2.0) / 2.0, sv.margins, sv.shape)
+    return StatisticVector(_half_integer_values(sv.statistics), sv.margins, sv.shape)
 
 
 class TestStudyBlockRows:
     """Every block row of the study engine against the per-replicate public routes.
 
-    The statistics are gridded to half-integers, so the rows carry ties,
-    R == R- at t and, where the margin is on the grid, zero cuts.  Spies on
+    The statistics are gridded to half-integers, by spies on the private
+    draws that ``_blocks`` writes into its rows (``_draw_statistics`` and
+    ``_statistic_row``), so the rows carry ties, R == R- at t and, where
+    the margin is on the grid, zero cuts.  Spies on
     ``_counts_at`` and ``_add_control`` record each block's estimate at t
     and the novel, BH and LR rejection masks, and a spy on ``_value_se``
     each metric's per-replicate values; the cap on the block size is
@@ -733,14 +799,16 @@ class TestStudyBlockRows:
         study = StudySpec(**{"n": 6, "m": 14, "rho": 0.0, **self.CASES[case]}, replicates=23, seed=11)
         scenario = next(study.cells())[1]
         data_route = "SAM-full" in study.methods
-        draw_statistics, statistics_of = simulate.generate_statistics, simulate.study_statistics
-        monkeypatch.setattr(
-            simulate, "generate_statistics",
-            lambda spec, rep: (_half_integers(draw_statistics(spec, rep)[0]), simulate._scenario_means(spec)),
-        )
-        monkeypatch.setattr(
-            simulate, "study_statistics", lambda values, spec: _half_integers(statistics_of(values, spec))
-        )
+        svs = [
+            _half_integers(
+                study_statistics(generate(scenario, rep)[0].values, scenario) if data_route
+                else generate_statistics(scenario, rep)[0]
+            )
+            for rep in range(study.replicates)
+        ]
+        draw_statistics, statistic_row = simulate._draw_statistics, simulate._statistic_row
+        monkeypatch.setattr(simulate, "_draw_statistics", lambda *args: _half_integer_values(draw_statistics(*args)))
+        monkeypatch.setattr(simulate, "_statistic_row", lambda *args: _half_integer_values(statistic_row(*args)))
         if rows is not None:
             cells = rows * study.m * (study.n if data_route else 1)
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", cells)
@@ -771,13 +839,6 @@ class TestStudyBlockRows:
         directional = study.shape is DIR
         estimate = estimate_directional if directional else estimate_equivalence
         pvalues = directional_pvalues if directional else equivalence_pvalues
-        svs = [
-            _half_integers(
-                statistics_of(generate(scenario, rep)[0].values, scenario) if data_route
-                else draw_statistics(scenario, rep)[0]
-            )
-            for rep in range(study.replicates)
-        ]
         for rep, sv in enumerate(svs):
             est = estimate(sv, study.t)
             np.testing.assert_array_equal(np.flatnonzero(rejected[rep]), est.rejected)

@@ -11,7 +11,11 @@ Three families live here:
   estimators in :mod:`artifact.estimators`; the two-transformation special
   case (identity + global negation/swap) *equals* the directional mirror
   estimator at margin zero.  The bound is computed from a (B, m) matrix of
-  statistics, one row per transformation with the identity in row 0.
+  statistics, one row per transformation with the identity in row 0.  Each
+  transformed copy of the data is one row gather: from the data itself for
+  a permutation, and from ``[data * 1.0; data * -1.0]`` for a sign flip,
+  which holds the same IEEE products the per-row multiply would give.  An
+  index of one byte per sign replaces a float64 copy of the sign table.
 * P-value procedures: Benjamini-Hochberg step-up (mean FDP) and the
   Lehmann-Romano step-down (tail FDP) with critical values
   ``alpha * (floor(gamma*i) + 1) / (m + floor(gamma*i) + 1 - i)``.  Both
@@ -81,6 +85,14 @@ def _alpha(alpha) -> float:
     return alpha
 
 
+def _threshold(t) -> float:
+    """``t`` as a float; NaN or an infinity raises ``ValueError``."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"threshold t must be finite, got {t}")
+    return t
+
+
 def _check_sign_flip_n(n: int) -> None:
     """Raise ``InfeasibleError`` when 2^n sign flips are too many to enumerate (n > 20)."""
     if n > 20:
@@ -114,7 +126,9 @@ class TransformationGroup:
     permutations.  Construction checks all of this and raises ValueError
     otherwise; the table is then stored read-only.  Subsampled variants draw
     transformations with replacement, always keep the identity as row 0, and
-    record their seed.
+    record their seed.  Both kinds act on data as a row gather
+    (``apply_to``): a sign flip reads each row from the data or from its
+    negated copy, so no copy costs a broadcast multiply.
     """
 
     kind: str
@@ -208,18 +222,33 @@ class TransformationGroup:
         return cls(kind="permutation-subsample", n=n, perms=perms, seed=seed)
 
     def apply_to(self, data: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield the transformed copies of ``data`` (identity first)."""
+        """Yield the transformed copies of ``data`` (identity first).
+
+        Each copy is a fresh float64 array gathered from the rows of one
+        source: ``data`` itself for permutations, and ``[data * 1.0;
+        data * -1.0]`` for sign flips, whose row ``i + n`` is read wherever
+        ``signs[b, i] < 0``.  So every entry is the product the per-row
+        multiply ``data * signs[b][:, None]`` gives, bit for bit (signed
+        zeros, infinities and NaN sign bits included).  The sign-flip index
+        takes the smallest unsigned dtype that holds its largest entry,
+        2n - 1: one byte per sign, as in the int8 table, for n <= 128.
+        """
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] != self.n_rows:
             raise ValueError(
                 f"data must be 2-d with {self.n_rows} rows for this group, got {data.shape}"
             )
         if self.signs is not None:
-            for row in self.signs.astype(np.float64):
-                yield data * row[:, None]
+            n = self.n_rows
+            source = np.concatenate([data * 1.0, data * -1.0])
+            index = np.empty(self.signs.shape, np.min_scalar_type(2 * n - 1))
+            np.less(self.signs, 0, out=index)
+            index *= n
+            index += np.arange(n, dtype=index.dtype)
         else:
-            for perm in self.perms:
-                yield data[perm]
+            source, index = data, self.perms
+        for rows in index:
+            yield source[rows]
 
     def statistics(self, data: np.ndarray, statistic_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """``statistic_fn`` over all transformed data sets, one row each: (B, m).
@@ -284,18 +313,16 @@ def sam_bound(
     alpha : float
         One minus the quantile used for the bound, in (0, 1).
     """
-    above = group.statistics(data, statistic_fn) > float(t)
+    t, alpha = _threshold(t), _alpha(alpha)  # before the B statistic calls
+    above = group.statistics(data, statistic_fn) > t
     return _sam_estimate(_row_counts(above), above[0], group, t, alpha)
 
 
 def _sam_estimate(counts, rejected, group: TransformationGroup, t: float, alpha: float) -> SamEstimate:
-    """The SAM bound from one count #{T_j > t} per transformation, identity first.
+    """The SAM bound from one count #{T_j > t} per transformation, identity first, at a checked t.
 
     ``rejected`` is the identity's mask; only its count and the multiset of counts matter.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"threshold t must be finite, got {t}")
     k = _order_index(alpha, group.size)
     observed = int(counts[0])  # identity is always row 0
     rejected = np.flatnonzero(rejected)

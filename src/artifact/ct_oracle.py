@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .baselines import TransformationGroup, _order_index
+from .baselines import TransformationGroup, _alpha, _order_index, _threshold
 from .core import HypothesisShape, InfeasibleError, StatisticVector
 
 __all__ = [
@@ -116,12 +116,17 @@ def _indicator_bits(sv: StatisticVector, t: float, kind: str) -> tuple[np.ndarra
     raise ValueError(f"unknown count family {kind!r}")
 
 
-def _subset_bits(m: int) -> np.ndarray:
-    """The (2^m, m) 0/1 matrix whose row ``mask`` holds the bits of ``mask``."""
+def _check_oracle_m(m: int) -> None:
+    """Raise ``InfeasibleError`` when 2^m subsets are too many to enumerate (m > ``MAX_ORACLE_M``)."""
     if m > MAX_ORACLE_M:
         raise InfeasibleError(
             f"the oracle enumerates all 2^m subsets; m <= {MAX_ORACLE_M} required, got m={m}"
         )
+
+
+def _subset_bits(m: int) -> np.ndarray:
+    """The (2^m, m) 0/1 matrix whose row ``mask`` holds the bits of ``mask``."""
+    _check_oracle_m(m)
     return (np.arange(1 << m, dtype=np.int64)[:, None] >> np.arange(m)) & 1
 
 
@@ -209,13 +214,18 @@ class LocalTestFamily:
         group.  This is how a resampling bound plugs into closed testing.
         Like every family, the whole 2^m table is built here, so
         m <= 12 (``MAX_ORACLE_M``) is required; larger m raises
-        :class:`InfeasibleError`.
+        :class:`InfeasibleError`.  ``t``, ``alpha`` and the column count of
+        ``data`` are checked before the B statistic calls.
         """
+        t, data = _threshold(t), np.asarray(data, dtype=np.float64)
+        if data.ndim == 2:
+            _check_oracle_m(data.shape[1])
+        _alpha(alpha)
         return cls._sam_from_statistics(group.statistics(data, statistic_fn), t, alpha)
 
     @classmethod
     def _sam_from_statistics(cls, stats: np.ndarray, t: float, alpha: float) -> "LocalTestFamily":
-        """The ``sam-subset`` family from a (B, m) statistics matrix, identity in row 0.
+        """The ``sam-subset`` family from a (B, m) statistics matrix, identity in row 0, at a finite t.
 
         Row b's rejection pattern ``stats[b] > t`` is read as an m-bit code,
         so its count on subset I is ``popcount(code_b & I)``.  ``levels[l, I]``
@@ -229,9 +239,6 @@ class LocalTestFamily:
         order index, and ``phi(I)`` compares row 0's count on I (its mask bits
         summed over row 0's rejections) with it.
         """
-        t = float(t)
-        if not math.isfinite(t):
-            raise ValueError(f"threshold t must be finite, got {t}")
         reject_bits = stats > t
         n_transforms, m = reject_bits.shape
         bits = _subset_bits(m)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import chain, combinations
 
 import numpy as np
@@ -37,6 +38,22 @@ def _column_sums(data):
 # ---------------------------------------------------------------------------
 # Transformation groups
 # ---------------------------------------------------------------------------
+
+SIGN_FLIP_GROUPS = {
+    "full": lambda: TransformationGroup.sign_flip_full(5),
+    "subsample": lambda: TransformationGroup.sign_flip_subsample(5, n_transforms=40, seed=2),
+    "negation-pair": lambda: TransformationGroup.negation_pair(5),
+    "float64-table": lambda: TransformationGroup(
+        kind="sign-flip-subsample",
+        n=5,
+        signs=np.vstack([np.ones(5), np.random.default_rng(3).choice([-1.0, 1.0], size=(11, 5))]),
+    ),
+}
+ALL_GROUPS = {
+    **SIGN_FLIP_GROUPS,
+    "swap": lambda: TransformationGroup.case_control_swap(3),
+    "perm-subsample": lambda: TransformationGroup.permutation_subsample(3, n_transforms=8, seed=1),
+}
 
 
 class TestTransformationGroup:
@@ -87,12 +104,50 @@ class TestTransformationGroup:
         assert stats.shape == (6, 5)
         np.testing.assert_array_equal(stats[0], data.sum(axis=0))
 
-    def test_sign_flip_copies_match_the_int8_product(self):
+    @pytest.mark.parametrize("make", SIGN_FLIP_GROUPS.values(), ids=SIGN_FLIP_GROUPS.keys())
+    def test_sign_flip_copies_match_the_int8_product(self, make):
+        # The gather reads data * 1.0 and data * -1.0, so every entry must be
+        # the per-row product's bits: signed zeros, infinities and NaN signs.
+        group = make()
         rng = np.random.default_rng(4)
-        data = rng.normal(size=(5, 7))
-        group = TransformationGroup.sign_flip_subsample(5, n_transforms=12, seed=2)
-        for row, copy in zip(group.signs, group.apply_to(data)):
-            assert copy.tobytes() == (data * row[:, None]).tobytes()
+        values = rng.normal(size=(5, 9))
+        values[:, :6] = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]
+        integers = rng.integers(-9, 10, size=(5, 4))
+        for data in (values, values[::-1].T[:5], integers):
+            floats = np.asarray(data, dtype=np.float64)
+            copies = list(group.apply_to(data))
+            assert len(copies) == group.size
+            for row, copy in zip(group.signs, copies):
+                assert copy.dtype == np.float64 and copy.shape == floats.shape
+                assert copy.tobytes() == (floats * row[:, None]).tobytes()
+
+    @pytest.mark.parametrize("make", ALL_GROUPS.values(), ids=ALL_GROUPS.keys())
+    def test_copies_are_distinct_arrays(self, make):
+        # A reused buffer would let statistic_fn see, or change, another copy.
+        group = make()
+        data = np.random.default_rng(5).normal(size=(group.n_rows, 3))
+        before = data.copy()
+        copies = list(group.apply_to(data))
+        for j, copy in enumerate(copies):
+            others = [c.copy() for c in copies]
+            copy[...] = 99.0
+            np.testing.assert_array_equal(data, before)
+            for i, other in enumerate(others):
+                if i != j:
+                    np.testing.assert_array_equal(copies[i], other)
+
+    def test_sign_flip_copy_needs_no_float_copy_of_the_table(self):
+        # A one-byte index per sign, where a float64 copy of the table takes 8 bytes per sign.
+        group = TransformationGroup.sign_flip_full(16)
+        copies = group.apply_to(np.ones((16, 4)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            next(copies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * group.signs.nbytes
 
     @pytest.mark.parametrize(
         "make, table",
@@ -315,6 +370,22 @@ class TestSamBound:
                 sam_bound(data, _column_sums, group, t)
             with pytest.raises(ValueError, match="threshold t"):
                 sam_two_transform(data, _column_sums, t)
+
+    @pytest.mark.parametrize(
+        "t, alpha, message",
+        [(np.nan, 0.5, "threshold t"), (np.inf, 0.5, "threshold t"), (-np.inf, 0.5, "threshold t"),
+         (1.0, 0.0, "alpha"), (1.0, 1.0, "alpha"), (1.0, 1.5, "alpha")],
+    )
+    def test_bad_arguments_raise_before_any_statistic_call(self, t, alpha, message):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return x.sum(axis=0)
+
+        with pytest.raises(ValueError, match=message):
+            sam_bound(np.ones((6, 3)), spy, TransformationGroup.sign_flip_full(6), t, alpha)
+        assert calls == []
 
     def test_rejected_is_read_only(self):
         data = np.array([[0.34, -0.34]] * 3)

@@ -350,6 +350,24 @@ class TestSamSubsetTable:
         with pytest.raises(InfeasibleError, match="m <= 12"):
             LocalTestFamily.sam_subset(np.ones((2, 13)), lambda x: x.sum(axis=0), group, 0.5)
 
+    @pytest.mark.parametrize(
+        "t, alpha, m, error, message",
+        [(np.nan, 0.5, 3, ValueError, "threshold t"), (np.inf, 0.5, 3, ValueError, "threshold t"),
+         (-np.inf, 0.5, 3, ValueError, "threshold t"), (1.0, 0.0, 3, ValueError, "alpha"),
+         (1.0, 1.0, 3, ValueError, "alpha"), (1.0, 0.5, 13, InfeasibleError, "m <= 12")],
+    )
+    def test_bad_arguments_raise_before_any_statistic_call(self, t, alpha, m, error, message):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return x.sum(axis=0)
+
+        group = TransformationGroup.sign_flip_full(6)
+        with pytest.raises(error, match=message):
+            LocalTestFamily.sam_subset(np.ones((6, m)), spy, group, t, alpha)
+        assert calls == []
+
     def test_builds_on_the_declared_numpy_floor(self, monkeypatch):
         # pyproject.toml allows numpy 1.x, which has no np.bitwise_count
         monkeypatch.delattr(np, "bitwise_count", raising=False)

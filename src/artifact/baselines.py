@@ -60,6 +60,14 @@ __all__ = [
 ]
 
 _NEAR_INT_TOL = 1e-9
+# The table each built-in kind sits on; any other kind may sit on either.
+_KIND_TABLES = {
+    "sign-flip-full": "signs",
+    "sign-flip-subsample": "signs",
+    "negation-pair": "signs",
+    "case-control-swap": "perms",
+    "permutation-subsample": "perms",
+}
 
 
 def _guarded_floor(x: np.ndarray | float):
@@ -123,12 +131,14 @@ class TransformationGroup:
     is set, and its row 0 is the identity, which ``sam_bound`` and
     ``sam_subset`` read as the observed data.  ``n`` is the number of data
     rows for sign flips and the per-group size (half the rows) for
-    permutations.  Construction checks all of this and raises ValueError
-    otherwise; the table is then stored read-only.  Subsampled variants draw
-    transformations with replacement, always keep the identity as row 0, and
-    record their seed.  Both kinds act on data as a row gather
-    (``apply_to``): a sign flip reads each row from the data or from its
-    negated copy, so no copy costs a broadcast multiply.
+    permutations.  A built-in ``kind`` (the constructors' names) must sit on
+    its own table, and ``sign-flip-full`` must hold 2^n rows.  Construction
+    checks all of this and raises ValueError otherwise; the table is then
+    stored read-only.  Subsampled variants draw transformations with
+    replacement, always keep the identity as row 0, and record their seed.
+    Both kinds act on data as a row gather (``apply_to``): a sign flip reads
+    each row from the data or from its negated copy, so no copy costs a
+    broadcast multiply.
     """
 
     kind: str
@@ -140,7 +150,12 @@ class TransformationGroup:
     def __post_init__(self):
         if (self.signs is None) == (self.perms is None):
             raise ValueError("a transformation group needs exactly one of signs and perms")
-        table = np.asarray(self.signs if self.signs is not None else self.perms)
+        table_name = "signs" if self.signs is not None else "perms"
+        if _KIND_TABLES.get(self.kind, table_name) != table_name:
+            raise ValueError(
+                f"kind {self.kind!r} needs a {_KIND_TABLES[self.kind]} table, not {table_name}"
+            )
+        table = np.asarray(getattr(self, table_name))
         if table.ndim != 2 or table.size == 0:
             raise ValueError(f"transformation table must be 2-d and non-empty, got shape {table.shape}")
         if self.signs is not None:
@@ -155,7 +170,9 @@ class TransformationGroup:
         rows = self.n if self.signs is not None else 2 * self.n
         if table.shape[1] != rows:
             raise ValueError(f"n={self.n} needs a table on {rows} data rows, got {table.shape[1]}")
-        object.__setattr__(self, "signs" if self.signs is not None else "perms", _read_only(table))
+        if self.kind == "sign-flip-full" and table.shape[0] != 2**self.n:
+            raise ValueError(f"kind 'sign-flip-full' needs 2^n = {2**self.n} rows, got {table.shape[0]}")
+        object.__setattr__(self, table_name, _read_only(table))
 
     @property
     def size(self) -> int:
@@ -455,6 +472,12 @@ class ExactTestResult:
     order_index: int
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Raise ValueError naming ``name`` when ``values`` holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must all be finite")
+
+
 def _exact_result(stats: np.ndarray, alpha: float) -> ExactTestResult:
     """Compare the identity's statistic (entry 0) with the group order statistic."""
     k = _order_index(alpha, stats.size)
@@ -482,6 +505,7 @@ def sign_flip_test(x, alpha: float) -> ExactTestResult:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a non-empty 1-d array")
+    _check_finite("x", x)
     n = x.size
     _check_sign_flip_n(n)
     # All 2^n signed sums by repeated doubling in one buffer: with s the k
@@ -530,6 +554,8 @@ def two_group_permutation_test(z, y, alpha: float) -> ExactTestResult:
         raise ValueError("z and y must be non-empty 1-d arrays")
     if z.size != y.size:
         raise ValueError(f"groups must have equal sizes, got {z.size} and {y.size}")
+    _check_finite("z", z)
+    _check_finite("y", y)
     n = z.size
     n_splits = math.comb(2 * n, n)
     if n_splits > 2**20:

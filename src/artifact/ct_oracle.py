@@ -60,21 +60,38 @@ COUNT_FAMILIES = (
 )
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def indices_to_mask(indices: Iterable[int]) -> int:
-    """Bitmask with bit j set for every 0-based index j in ``indices``."""
+    """Bitmask with bit j set for every 0-based index j in ``indices``.
+
+    The indices must be distinct integers >= 0, as for ``ScenarioTruth``: a
+    bool or float entry (a boolean mask passed by mistake, say) raises
+    ValueError.
+    """
     mask = 0
     for j in indices:
+        if not _is_int(j):
+            raise ValueError(f"indices must be integers, got {j!r}")
         j = int(j)
         if j < 0:
             raise ValueError(f"indices must be >= 0, got {j}")
+        if mask >> j & 1:
+            raise ValueError(f"indices must be distinct, got {j} twice")
         mask |= 1 << j
     return mask
 
 
 def mask_to_indices(mask: int) -> list[int]:
     """Sorted 0-based indices of the set bits of ``mask``."""
+    if not _is_int(mask):
+        raise ValueError(f"mask must be an integer, got {mask!r}")
     if mask < 0:
         raise ValueError("mask must be >= 0")
+    mask = int(mask)
     out = []
     j = 0
     while mask:

@@ -26,11 +26,13 @@ Every reader parses its header with :mod:`csv` and hands the rest of the
 file to numpy's C parser (``np.loadtxt``).  That route keeps a parse only
 when the per-cell loop would read the same cells: a body of plain ASCII
 lines with no quote, no U+001C..U+001F and no empty line, every row as wide
-as the header and every cell a number.  Raw data must also hold finite
-values and two group labels there.  Any other file is read again from the
-top by the per-cell loop, which names the first malformed row.  The rules
-on the values of an ``index,<values>`` file (finite values; indices
-0..m-1, each once) are then checked once, whichever route read it.
+as the header and every cell a number.  Any other file is read again from
+the top by the per-cell loop that both formats share, which names the row
+and column of the first cell it cannot parse.  The rules on the values are
+then checked once, whichever route read the file: every value finite (the
+first non-finite one named by row and column), a raw-data group column
+with two labels, and the indices of an ``index,<values>`` file 0..m-1,
+each once.
 
 Indices are 0-based everywhere.
 """
@@ -113,8 +115,7 @@ def _header(reader) -> list[str]:
 def _is_statistics_file(path) -> bool:
     """Whether the header starts ``index,statistic``; the reader checks the rest."""
     with _open_csv(path) as fh:
-        first = next(csv.reader(fh), [])[:2]
-    return [h.strip().lower() for h in first] == ["index", "statistic"]
+        return _header(csv.reader(fh))[:2] == ["index", "statistic"]
 
 
 def _plain_blocks(fh):
@@ -172,29 +173,58 @@ def _indexed_rows_fast(fh, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows["index"], rows["values"], np.arange(2, rows.size + 2)
 
 
-def _indexed_rows_literal(path, reader, header: list[str], n_values: int):
-    """The indices, values and line numbers of the ``index,<values>`` rows left in ``reader``."""
+_PARSED_AS = {int: "an integer", float: "a number"}
+
+
+def _body_cells(path, reader, header: list[str], parsers: list) -> tuple[np.ndarray, list[list]]:
+    """The line numbers and parsed cells of the non-blank rows left in ``reader``.
+
+    Cell k parses by ``parsers[k]``, stripped.  A row not as wide as
+    ``header``, a cell that ``int`` or ``float`` cannot parse, and a body of
+    no rows raise ValueError naming the row and column.
+    """
     lines: list[int] = []
-    indices: list[int] = []
-    values: list[float] = []
+    rows: list[list] = []
     for lineno, row in enumerate(reader, start=2):
         if not "".join(row).strip():
             continue
         if len(row) != len(header):
             raise ValueError(f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}")
-        try:
-            indices.append(int(row[0]))
-            values.extend(map(float, row[1 : n_values + 1]))
-        except ValueError:
-            raise ValueError(f"{path}: malformed row {lineno}: {row!r}") from None
+        cells = []
+        for name, parse, cell in zip(header, parsers, row):
+            cell = cell.strip()
+            try:
+                cells.append(parse(cell))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {lineno}, column '{name}': "
+                    f"could not parse {cell!r} as {_PARSED_AS[parse]}"
+                ) from None
         lines.append(lineno)
-    if not lines:
+        rows.append(cells)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
+    return np.asarray(lines), rows
+
+
+def _indexed_rows_literal(path, reader, header: list[str], n_values: int):
+    """The indices, values and line numbers of the ``index,<values>`` rows left in ``reader``."""
+    lines, rows = _body_cells(path, reader, header, [int] + [float] * n_values)
+    indices = [row[0] for row in rows]
     try:
         index = np.array(indices, dtype=np.int64)
     except OverflowError:  # out of range anyway: Python ints keep its digits for the message
         index = np.array(indices, dtype=object)
-    return index, np.asarray(values, dtype=np.float64).reshape(-1, n_values), np.asarray(lines)
+    return index, np.array([row[1:] for row in rows], dtype=np.float64), lines
+
+
+def _check_finite(path, table: np.ndarray, lines: np.ndarray, names) -> None:
+    """Raise ValueError naming the row and column of ``table``'s first non-finite value."""
+    if not np.isfinite(table).all():
+        k, c = np.argwhere(~np.isfinite(table))[0]
+        raise ValueError(
+            f"{path}: row {lines[k]}, column '{names[c]}': non-finite value {table[k, c]:g}"
+        )
 
 
 def _read_indexed_rows(path, fh, header: list[str], n_values: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,13 +242,8 @@ def _read_indexed_rows(path, fh, header: list[str], n_values: int) -> tuple[np.n
         parsed = _indexed_rows_literal(path, _restart(fh), header, n_values)
     index, table, lines = parsed
     table = table[:, :n_values]
+    _check_finite(path, table, lines, header[1:])
     m = index.size
-    non_finite = np.argwhere(~np.isfinite(table))
-    if non_finite.size:
-        k, c = non_finite[0]
-        raise ValueError(
-            f"{path}: row {lines[k]}, column '{header[c + 1]}': non-finite value {table[k, c]:g}"
-        )
     stray = np.flatnonzero((index < 0) | (index >= m))
     if stray.size:
         k = int(stray[0])
@@ -291,69 +316,30 @@ class DataMatrix:
         return np.flatnonzero(self.group == first), np.flatnonzero(self.group == second)
 
 
+def _group_codes():
+    """The labels seen, in first-appearance order, and a parser of a group cell to its label's index."""
+    codes: dict[str, int] = {}
+    return codes, lambda cell: codes.setdefault(cell.strip(), len(codes))
+
+
 def _data_rows_fast(fh, n_cells: int, group_idx: int | None):
     """``_data_rows`` by the C parser, or None where it would differ."""
-    codes: dict[str, int] = {}
-    converters = None
-    if group_idx is not None:
-        # The group cell parses to the code of its stripped label.
-        converters = {group_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
-    table = _loadtxt_plain(fh, ndmin=2, converters=converters)
+    codes, code = _group_codes()
+    table = _loadtxt_plain(fh, ndmin=2, converters=None if group_idx is None else {group_idx: code})
     if table is None or table.shape[1] != n_cells:
         return None
-    groups = None
-    if group_idx is not None:
-        if len(codes) != 2:
-            return None
-        groups = np.asarray(list(codes))[table[:, group_idx].astype(np.intp)]
-        table = np.delete(table, group_idx, axis=1)
-    if not np.isfinite(table).all():
-        return None
-    return table, groups
+    return table, list(codes), np.arange(2, len(table) + 2)  # lines as in _indexed_rows_fast
 
 
-def _data_rows(
-    path, reader, header: list[str], feature_cols: list[int], group_idx: int | None
-):
-    """The values and group labels of the raw-data rows left in ``reader``."""
-    rows: list[list[float]] = []
-    groups: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
-            )
-        parsed = []
-        for k in feature_cols:
-            cell = row[k].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {lineno}, column '{header[k]}': "
-                    f"could not parse {cell!r} as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: row {lineno}, column '{header[k]}': non-finite value {cell!r}"
-                )
-            parsed.append(value)
-        rows.append(parsed)
-        if group_idx is not None:
-            groups.append(row[group_idx].strip())
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    if group_idx is None:
-        return np.asarray(rows, dtype=np.float64), None
-    labels = list(dict.fromkeys(groups))
-    if len(labels) != 2:
-        raise ValueError(
-            f"{path}: group column '{header[group_idx]}' must hold exactly two distinct "
-            f"labels, found {len(labels)}: {labels[:5]!r}"
-        )
-    return np.asarray(rows, dtype=np.float64), np.asarray(groups)
+def _data_rows(path, reader, header: list[str], group_idx: int | None):
+    """The cells, group labels and line numbers of the raw-data rows left in ``reader``.
+
+    A group cell reads as the index of its label in the labels.
+    """
+    codes, code = _group_codes()
+    parsers = [code if k == group_idx else float for k in range(len(header))]
+    lines, rows = _body_cells(path, reader, header, parsers)
+    return np.asarray(rows, dtype=np.float64), list(codes), lines
 
 
 def read_data_csv(path) -> DataMatrix:
@@ -375,13 +361,20 @@ def read_data_csv(path) -> DataMatrix:
             raise ValueError(f"{path}: no numeric feature columns")
         parsed = _data_rows_fast(fh, len(header), group_idx)
         if parsed is None:
-            parsed = _data_rows(path, _restart(fh), header, feature_cols, group_idx)
-    values, group = parsed
-    return DataMatrix(
-        values=values,
-        feature_names=tuple(header[k] for k in feature_cols),
-        group=group,
-    )
+            parsed = _data_rows(path, _restart(fh), header, group_idx)
+    table, labels, lines = parsed
+    group = None
+    if group_idx is not None:
+        group = np.asarray(labels)[table[:, group_idx].astype(np.intp)]
+        table = np.delete(table, group_idx, axis=1)
+    feature_names = tuple(header[k] for k in feature_cols)
+    _check_finite(path, table, lines, feature_names)
+    if group_idx is not None and len(labels) != 2:
+        raise ValueError(
+            f"{path}: group column '{header[group_idx]}' must hold exactly two distinct "
+            f"labels, found {len(labels)}: {labels[:5]!r}"
+        )
+    return DataMatrix(values=table, feature_names=feature_names, group=group)
 
 
 def read_statistics_csv(path) -> tuple[np.ndarray, np.ndarray | None]:

@@ -187,24 +187,30 @@ class TestTransformationGroup:
             TransformationGroup(kind=group.kind, n=3, signs=group.signs[::-1])
 
     @pytest.mark.parametrize(
-        "tables, match",
+        "kind, tables, match",
         [
-            ({}, "exactly one"),
-            ({"signs": np.ones((2, 3)), "perms": np.array([[0, 1, 2], [2, 1, 0]])}, "exactly one"),
-            ({"signs": np.ones(3)}, "2-d"),
-            ({"signs": np.ones((0, 3))}, "non-empty"),
-            ({"perms": np.empty((2, 0), dtype=np.int64)}, "non-empty"),
-            ({"signs": np.zeros((4, 2))}, r"\+-1"),
-            ({"signs": np.array([[1, 1], [2, -1]])}, r"\+-1"),
-            ({"signs": np.array([[1, -1], [1, 1]])}, "row 0"),
-            ({"perms": np.array([[0, 1, 2], [0, 0, 2]])}, "permutation"),
-            ({"perms": np.array([[0, 1, 3], [2, 1, 0]])}, "permutation"),
-            ({"perms": np.array([[1, 0, 2], [0, 1, 2]])}, "row 0"),
+            ("sign-flip-full", {"signs": np.array([[1, 1, 1], [-1, -1, -1]])}, r"2\^n = 8 rows, got 2"),
+            ("case-control-swap", {"signs": np.array([[1, 1, 1], [-1, -1, -1]])}, "needs a perms table"),
+            ("permutation-subsample", {"signs": np.ones((2, 3))}, "needs a perms table"),
+            ("negation-pair", {"perms": np.array([[0, 1, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2]])}, "needs a signs table"),
+            ("sign-flip-subsample", {"perms": np.array([[0, 1, 2, 3, 4, 5]] * 2)}, "needs a signs table"),
+            ("sign-flip-full", {"perms": np.array([[0, 1, 2, 3, 4, 5]] * 8)}, "needs a signs table"),
+            ("custom", {}, "exactly one"),
+            ("custom", {"signs": np.ones((2, 3)), "perms": np.array([[0, 1, 2], [2, 1, 0]])}, "exactly one"),
+            ("custom", {"signs": np.ones(3)}, "2-d"),
+            ("custom", {"signs": np.ones((0, 3))}, "non-empty"),
+            ("custom", {"perms": np.empty((2, 0), dtype=np.int64)}, "non-empty"),
+            ("custom", {"signs": np.zeros((4, 2))}, r"\+-1"),
+            ("custom", {"signs": np.array([[1, 1], [2, -1]])}, r"\+-1"),
+            ("custom", {"signs": np.array([[1, -1], [1, 1]])}, "row 0"),
+            ("custom", {"perms": np.array([[0, 1, 2], [0, 0, 2]])}, "permutation"),
+            ("custom", {"perms": np.array([[0, 1, 3], [2, 1, 0]])}, "permutation"),
+            ("custom", {"perms": np.array([[1, 0, 2], [0, 1, 2]])}, "row 0"),
         ],
     )
-    def test_invalid_tables_are_refused(self, tables, match):
+    def test_invalid_tables_are_refused(self, kind, tables, match):
         with pytest.raises(ValueError, match=match):
-            TransformationGroup(kind="custom", n=3, **tables)
+            TransformationGroup(kind=kind, n=3, **tables)
 
     def test_valid_custom_tables_are_accepted(self):
         signs = TransformationGroup(kind="custom", n=2, signs=np.array([[1.0, 1.0], [-1.0, 1.0]]))
@@ -735,6 +741,22 @@ class TestSignFlipTest:
         )
         se = np.sqrt(alpha * (1 - alpha) / reps)
         assert abs(rejections / reps - alpha) < 3 * se
+
+
+@pytest.mark.parametrize(
+    "test, args, name",
+    [
+        (sign_flip_test, ([np.nan, 1.0, 2.0],), "x"),
+        (sign_flip_test, ([1.0, -np.inf],), "x"),
+        (two_group_permutation_test, ([np.inf, 1.0], [0.0, 2.0]), "z"),
+        (two_group_permutation_test, ([1.0, 2.0], [0.0, np.nan]), "y"),
+    ],
+    ids=["flip-nan", "flip-minus-inf", "perm-z-inf", "perm-y-nan"],
+)
+def test_exact_tests_refuse_non_finite_input(test, args, name):
+    # NaN or an infinity would otherwise give NaN statistics and reject=False.
+    with pytest.raises(ValueError, match=f"{name} must all be finite"):
+        test(*args, alpha=0.25)
 
 
 class TestPermutationTest:

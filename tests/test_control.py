@@ -786,7 +786,7 @@ class TestPvalueVectorAndCsv:
     def test_read_rejects_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("index,pvalue\n0,not-a-number\n")
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="row 2, column 'pvalue': could not parse 'not-a-number' as a number"):
             read_pvalues_csv(path)
 
     def test_read_orders_by_index(self, tmp_path):

@@ -42,12 +42,37 @@ class TestMaskHelpers:
         assert mask_to_indices(0) == []
         for mask in range(64):
             assert indices_to_mask(mask_to_indices(mask)) == mask
+        assert indices_to_mask(np.flatnonzero([True, False, True])) == 0b101
+        assert indices_to_mask(np.array([0, 2], dtype=np.uint8)) == 0b101
+        assert mask_to_indices(np.int64(5)) == [0, 2]
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             indices_to_mask([-1])
         with pytest.raises(ValueError):
             mask_to_indices(-1)
+
+    @pytest.mark.parametrize(
+        "indices, problem",
+        [
+            (np.array([True, False, True]), "integers"),
+            ([True, False], "integers"),
+            ([1.5], "integers"),
+            (np.array([0.0, 2.0]), "integers"),
+            ([1, 0, 1], "distinct"),
+            (np.array([2, 2]), "distinct"),
+        ],
+        ids=["bool-mask", "bool-list", "float", "float-array", "repeat", "repeat-array"],
+    )
+    def test_only_distinct_integer_indices_are_read(self, indices, problem):
+        # A boolean mask or 0/1 list would otherwise set bits {0, 1}, not the mask meant.
+        with pytest.raises(ValueError, match=problem):
+            indices_to_mask(indices)
+
+    @pytest.mark.parametrize("mask", [True, np.True_, 1.0])
+    def test_mask_must_be_an_integer(self, mask):
+        with pytest.raises(ValueError, match="integer"):
+            mask_to_indices(mask)
 
 
 class TestRunClosure:

@@ -238,10 +238,18 @@ class TestStatisticsCsv:
         with pytest.raises(ValueError, match=f"stats.csv: {problem}"):
             read_statistics_csv(path)
 
-    def test_malformed_row(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("zero,1.0\n", "row 2, column 'index': could not parse 'zero' as an integer"),
+            ("0,1.5\n1,one\n", "row 3, column 'statistic': could not parse 'one' as a number"),
+        ],
+        ids=["index", "statistic"],
+    )
+    def test_malformed_row(self, tmp_path, rows, problem):
         path = tmp_path / "stats.csv"
-        path.write_text("index,statistic\nzero,1.0\n")
-        with pytest.raises(ValueError, match="malformed row 2"):
+        path.write_text("index,statistic\n" + rows)
+        with pytest.raises(ValueError, match=f"stats.csv: {problem}"):
             read_statistics_csv(path)
 
 
@@ -287,10 +295,10 @@ ROUTE_CASES = [
     pytest.param("data", "x,group\n1_0,a\n2,b\n", "literal", id="data-underscore-digits"),
     pytest.param("data", "x,group\n１２,a\n2,b\n", "literal", id="data-full-width-digits"),
     pytest.param("data", "x,y,group\n 1.5 ,+1.5,a\n-0.0,2,b\n", "fast", id="data-padding-plus-negative-zero"),
-    pytest.param("data", "x,group\ninf,a\n2,b\n", "literal", id="data-inf"),
-    pytest.param("data", "x,group\n1,a\n-Infinity,b\n", "literal", id="data-minus-infinity"),
-    pytest.param("data", "x,group\nnan,a\n2,b\n", "literal", id="data-nan"),
-    pytest.param("data", "x,group\n1e400,a\n2,b\n", "literal", id="data-overflow"),
+    pytest.param("data", "x,group\ninf,a\n2,b\n", "fast", id="data-inf"),
+    pytest.param("data", "x,group\n1,a\n-Infinity,b\n", "fast", id="data-minus-infinity"),
+    pytest.param("data", "x,group\nnan,a\n2,b\n", "fast", id="data-nan"),
+    pytest.param("data", "x,group\n1e400,a\n2,b\n", "fast", id="data-overflow"),
     pytest.param("data", 'x,group\n"1.5",a\n2,b\n', "literal", id="data-quoted-number"),
     pytest.param("data", 'x,group\n1.5,"a"\n2,b\n', "literal", id="data-quoted-group"),
     pytest.param("data", 'x,group\n1.5,"a,1"\n2,b\n', "literal", id="data-quoted-group-with-comma"),
@@ -306,7 +314,8 @@ ROUTE_CASES = [
     pytest.param("data", "x,GROUP,y\n1,a,2\n3,b,4\n", "fast", id="data-group-middle"),
     pytest.param("data", "x,y\n1,2\n3,4\n", "fast", id="data-no-group"),
     pytest.param("data", "x,y\n1,2,3\n4,5,6\n", "literal", id="data-three-cells-under-two"),
-    pytest.param("data", "x,group\n1,a\n2,b\n3,c\n", "literal", id="data-three-labels"),
+    pytest.param("data", "x,group\n1,a\n2,b\n3,c\n", "fast", id="data-three-labels"),
+    pytest.param("data", "x,group\n1,a\n2, a\n", "fast", id="data-one-label"),
     pytest.param("data", "x,group\n\x1c1.5,a\n2,b\n", "literal", id="data-file-separator"),
     pytest.param("data", "x,group\n1.5,café\n2,b\n", "literal", id="data-non-ascii-group"),
     pytest.param("statistics", _indexed("statistic", {3: "03"}), "fast", id="statistics-index-leading-zero"),
@@ -316,6 +325,7 @@ ROUTE_CASES = [
     pytest.param("statistics", _indexed("statistic", {2: "२"}), "literal", id="statistics-index-devanagari"),
     pytest.param("statistics", _indexed("statistic", {3: "\x1c3"}), "literal", id="statistics-index-file-separator"),
     pytest.param("statistics", _indexed("statistic", {3: "2"}), "fast", id="statistics-index-repeated"),
+    pytest.param("statistics", "index,statistic\n0,1.5\n1,one\n", "literal", id="statistics-non-numeric"),
     pytest.param("statistics", _indexed("statistic", {3: "11"}), "fast", id="statistics-index-out-of-range"),
     pytest.param(
         "statistics", "index,statistic,margin,note\n1,2.5,0.2,x\n0,1.5,0.1,y,z\n", "literal", id="statistics-extra-columns"
@@ -398,11 +408,18 @@ def test_a_row_wider_than_an_exact_header_is_refused_on_both_routes(tmp_path, ki
     ),
     group_at=st.none() | st.integers(0, 6),
     newline=st.sampled_from(["\n", "\r\n"]),
+    non_finite=st.none()
+    | st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from(["nan", "inf", "-inf", "1e400"])),
 )
-def test_written_matrices_read_alike_on_both_routes(values, group_at, newline):
+def test_written_matrices_read_alike_on_both_routes(values, group_at, newline, non_finite):
     matrix = np.asarray(values, dtype=np.float64)
     names = [f"f{j}" for j in range(matrix.shape[1])]
     cells = [[format(v, ".17g") for v in row] for row in matrix]
+    if non_finite is not None:
+        i, j, bad = non_finite
+        i, j = i % matrix.shape[0], j % matrix.shape[1]
+        cells[i][j] = bad
+        problem = f"row {i + 2}, column 'f{j}': non-finite value {float(bad):g}"
     if group_at is not None:
         group_at = min(group_at, len(names))
         names.insert(group_at, "group")
@@ -415,7 +432,10 @@ def test_written_matrices_read_alike_on_both_routes(values, group_at, newline):
         outcome, kept_c_rows, literal = _routes(read_data_csv, path)
     assert kept_c_rows
     assert outcome == literal
-    assert outcome[1] == matrix.tobytes()
+    if non_finite is None:
+        assert outcome[1] == matrix.tobytes()
+    else:
+        assert outcome == ("error", f"{path}: {problem}")
 
 
 @pytest.mark.parametrize(

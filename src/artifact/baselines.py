@@ -44,7 +44,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import InfeasibleError, _gamma, _read_only, _row_counts
+from .core import InfeasibleError, _alpha, _floats, _gamma, _integer, _is_integer, _read_only
+from .core import _row_counts, _threshold, _vector
 
 __all__ = [
     "TransformationGroup",
@@ -83,22 +84,6 @@ def _guarded_floor(x: np.ndarray | float):
     snapped = np.where(np.abs(x - nearest) <= _NEAR_INT_TOL * np.maximum(1.0, np.abs(x)), nearest, x)
     out = np.floor(snapped)
     return out if out.ndim else float(out)
-
-
-def _alpha(alpha) -> float:
-    """``alpha`` as a float; outside (0, 1) it raises ``ValueError``."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return alpha
-
-
-def _threshold(t) -> float:
-    """``t`` as a float; NaN or an infinity raises ``ValueError``."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"threshold t must be finite, got {t}")
-    return t
 
 
 def _check_sign_flip_n(n: int) -> None:
@@ -148,6 +133,7 @@ class TransformationGroup:
     seed: int | None = None
 
     def __post_init__(self):
+        _integer("n", self.n)
         if (self.signs is None) == (self.perms is None):
             raise ValueError("a transformation group needs exactly one of signs and perms")
         table_name = "signs" if self.signs is not None else "perms"
@@ -188,7 +174,7 @@ class TransformationGroup:
     @classmethod
     def sign_flip_full(cls, n: int) -> "TransformationGroup":
         """All 2^n sign-flip patterns (requires n <= 20)."""
-        if n < 1:
+        if _integer("n", n) < 1:
             raise ValueError("n must be >= 1")
         _check_sign_flip_n(n)
         codes = np.arange(2**n, dtype=np.int64)
@@ -199,17 +185,17 @@ class TransformationGroup:
     @classmethod
     def sign_flip_subsample(cls, n: int, n_transforms: int, seed: int) -> "TransformationGroup":
         """Identity + (n_transforms - 1) random sign-flip patterns."""
-        if n_transforms < 2:
+        if _integer("n_transforms", n_transforms) < 2:
             raise ValueError("n_transforms must be >= 2 (identity plus at least one draw)")
         rng = np.random.default_rng(seed)
-        signs = rng.choice(np.asarray([-1, 1], dtype=np.int8), size=(n_transforms, n))
+        signs = rng.choice(np.asarray([-1, 1], dtype=np.int8), size=(n_transforms, _integer("n", n)))
         signs[0] = 1
         return cls(kind="sign-flip-subsample", n=n, signs=signs, seed=seed)
 
     @classmethod
     def negation_pair(cls, n: int) -> "TransformationGroup":
         """The two-element subgroup {identity, global negation}."""
-        signs = np.ones((2, n), dtype=np.int8)
+        signs = np.ones((2, _integer("n", n)), dtype=np.int8)
         signs[1] = -1
         return cls(kind="negation-pair", n=n, signs=signs)
 
@@ -220,7 +206,7 @@ class TransformationGroup:
         ``n`` is the per-group size; rows 0..n-1 are the cases and rows
         n..2n-1 the controls.
         """
-        if n < 1:
+        if _integer("n", n) < 1:
             raise ValueError("n must be >= 1")
         identity = np.arange(2 * n)
         swap = np.concatenate([identity[n:], identity[:n]])
@@ -229,10 +215,10 @@ class TransformationGroup:
     @classmethod
     def permutation_subsample(cls, n: int, n_transforms: int, seed: int) -> "TransformationGroup":
         """Identity + random row permutations of 2n rows (n per group)."""
-        if n_transforms < 2:
+        if _integer("n_transforms", n_transforms) < 2:
             raise ValueError("n_transforms must be >= 2 (identity plus at least one draw)")
         rng = np.random.default_rng(seed)
-        perms = np.empty((n_transforms, 2 * n), dtype=np.int64)
+        perms = np.empty((n_transforms, 2 * _integer("n", n)), dtype=np.int64)
         perms[0] = np.arange(2 * n)
         for b in range(1, n_transforms):
             perms[b] = rng.permutation(2 * n)
@@ -250,7 +236,7 @@ class TransformationGroup:
         takes the smallest unsigned dtype that holds its largest entry,
         2n - 1: one byte per sign, as in the int8 table, for n <= 128.
         """
-        data = np.asarray(data, dtype=np.float64)
+        data = _floats("data", data)
         if data.ndim != 2 or data.shape[0] != self.n_rows:
             raise ValueError(
                 f"data must be 2-d with {self.n_rows} rows for this group, got {data.shape}"
@@ -332,26 +318,17 @@ def sam_bound(
     """
     t, alpha = _threshold(t), _alpha(alpha)  # before the B statistic calls
     above = group.statistics(data, statistic_fn) > t
-    return _sam_estimate(_row_counts(above), above[0], group, t, alpha)
-
-
-def _sam_estimate(counts, rejected, group: TransformationGroup, t: float, alpha: float) -> SamEstimate:
-    """The SAM bound from one count #{T_j > t} per transformation, identity first, at a checked t.
-
-    ``rejected`` is the identity's mask; only its count and the multiset of counts matter.
-    """
+    counts = _row_counts(above)
     k = _order_index(alpha, group.size)
     observed = int(counts[0])  # identity is always row 0
-    rejected = np.flatnonzero(rejected)
-    rejected.flags.writeable = False
     v_bar = int(_sam_v_bars(counts[None], k)[0])
     return SamEstimate(
         t=t,
-        rejected=rejected,
+        rejected=_read_only(np.flatnonzero(above[0])),
         r=observed,
         v_bar=v_bar,
         fdp_bar=v_bar / max(observed, 1),
-        alpha=float(alpha),
+        alpha=alpha,
         order_index=k,
         n_transforms=group.size,
         kind=group.kind,
@@ -378,7 +355,7 @@ def sam_two_transform(
     this reproduces the directional mirror estimator with zero margins
     exactly: the mirrored rejection count is the mirror count.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = _floats("data", data)
     if kind == "sign-flip":
         group = TransformationGroup.negation_pair(data.shape[0])
     elif kind == "swap":
@@ -388,13 +365,6 @@ def sam_two_transform(
     else:
         raise ValueError(f"kind must be 'sign-flip' or 'swap', got {kind!r}")
     return sam_bound(data, statistic_fn, group, t, alpha=0.5)
-
-
-def _validated_pvalues(pvalues) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(pvalues, dtype=np.float64))
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("pvalues must be a non-empty 1-d array")
-    return p
 
 
 def _bh_lr(p: np.ndarray, gamma: float, alpha: float | None = None) -> np.ndarray:
@@ -430,12 +400,12 @@ def benjamini_hochberg(pvalues, gamma: float) -> np.ndarray:
     with p_(k) passes its own critical value as well and a tie cannot
     straddle the cut: the set equals the first k of a stable sort.
     """
-    return np.flatnonzero(_bh_lr(_validated_pvalues(pvalues)[None], gamma)[0])
+    return np.flatnonzero(_bh_lr(_vector("pvalues", pvalues, finite=False)[None], gamma)[0])
 
 
 def lehmann_romano_critical_values(m: int, gamma: float, alpha: float = 0.5) -> np.ndarray:
     """Step-down critical values alpha*(floor(gamma*i)+1)/(m+floor(gamma*i)+1-i)."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     gamma = _gamma(gamma)
     alpha = _alpha(alpha)
@@ -457,7 +427,8 @@ def lehmann_romano_stepdown(pvalues, gamma: float, alpha: float = 0.5) -> np.nda
     a tie cannot straddle the first failure.  For m = 1 and gamma = 0 this
     reduces to rejecting iff p <= alpha.
     """
-    return np.flatnonzero(_bh_lr(_validated_pvalues(pvalues)[None], gamma, alpha)[0])
+    p = _vector("pvalues", pvalues, finite=False)
+    return np.flatnonzero(_bh_lr(p[None], gamma, _alpha(alpha))[0])
 
 
 @dataclass(frozen=True)
@@ -470,12 +441,6 @@ class ExactTestResult:
     alpha: float
     n_transforms: int
     order_index: int
-
-
-def _check_finite(name: str, values: np.ndarray) -> None:
-    """Raise ValueError naming ``name`` when ``values`` holds a NaN or an infinity."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must all be finite")
 
 
 def _exact_result(stats: np.ndarray, alpha: float) -> ExactTestResult:
@@ -502,10 +467,7 @@ def sign_flip_test(x, alpha: float) -> ExactTestResult:
     larger observed value, which makes the size exactly alpha for continuous
     data when alpha is a multiple of 2^-n.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("x must be a non-empty 1-d array")
-    _check_finite("x", x)
+    x = _vector("x", x)
     n = x.size
     _check_sign_flip_n(n)
     # All 2^n signed sums by repeated doubling in one buffer: with s the k
@@ -548,14 +510,9 @@ def two_group_permutation_test(z, y, alpha: float) -> ExactTestResult:
     bytes, 1.85 MB at n = 10 and 7.8 MB at n = 11, the largest n the cap
     allows.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if z.ndim != 1 or y.ndim != 1 or z.size < 1:
-        raise ValueError("z and y must be non-empty 1-d arrays")
+    z, y = _vector("z", z), _vector("y", y)
     if z.size != y.size:
         raise ValueError(f"groups must have equal sizes, got {z.size} and {y.size}")
-    _check_finite("z", z)
-    _check_finite("y", y)
     n = z.size
     n_splits = math.comb(2 * n, n)
     if n_splits > 2**20:

@@ -28,7 +28,6 @@ readers and writers are imported here as aliases, not exported again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +35,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ControlResult, HypothesisShape, StatisticVector
-from .core import _control_scan, _counts_at, _gamma, _read_only, _signed_cuts
+from .core import _control_scan, _counts_at, _gamma, _positive, _read_only, _signed_cuts, _vector
 from .stats import read_pvalues_csv, write_pvalues_csv  # noqa: F401  (aliases, see above)
 
 __all__ = [
@@ -86,7 +85,8 @@ class NullDensitySpec:
 
     One of: a standard normal, a normal scaled by ``sigma``, a Student-t
     with ``nu`` degrees of freedom, or a user-supplied CDF callable for any
-    density symmetric around zero.  Use the classmethod constructors.
+    density symmetric around zero.  Use the classmethod constructors; the
+    family's ``sigma`` or ``nu`` is checked however the spec is built.
     """
 
     family: str
@@ -101,6 +101,9 @@ class NullDensitySpec:
             )
         if self.family == "user" and not callable(self.cdf):
             raise TypeError("family 'user' needs a callable cdf; use from_cdf")
+        if self.family in ("scaled-normal", "student-t"):
+            name = "sigma" if self.family == "scaled-normal" else "nu"
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
     @classmethod
     def standard_normal(cls) -> "NullDensitySpec":
@@ -108,16 +111,10 @@ class NullDensitySpec:
 
     @classmethod
     def scaled_normal(cls, sigma: float) -> "NullDensitySpec":
-        sigma = float(sigma)
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
         return cls(family="scaled-normal", sigma=sigma)
 
     @classmethod
     def student_t(cls, nu: float) -> "NullDensitySpec":
-        nu = float(nu)
-        if not (math.isfinite(nu) and nu > 0):
-            raise ValueError(f"nu must be finite and > 0, got {nu}")
         return cls(family="student-t", nu=nu)
 
     @classmethod
@@ -148,7 +145,7 @@ class NullDensitySpec:
 
 @dataclass(frozen=True, eq=False)
 class PValueVector:
-    """Marginal p-values for one family, all in [0, 1].
+    """Marginal p-values for one family: a non-empty 1-d array, all in [0, 1].
 
     ``values`` is stored read-only, sharing a float64 input: pass a copy to decouple.
     """
@@ -157,7 +154,7 @@ class PValueVector:
     shape: HypothesisShape
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
+        vals = _vector("p-values", self.values, finite=False)
         if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise ValueError("p-values must all lie in [0, 1]")
         object.__setattr__(self, "values", _read_only(vals))

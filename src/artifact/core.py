@@ -36,11 +36,18 @@ Every count of a mask row is ``_row_counts``: R and R- here, the study's
 counts and the SAM bound's count per transformation.
 The closed-testing oracle (``ct_oracle``) re-derives its indicators from the
 defining inequalities on purpose, as an independent check.
+
+Every argument rule of the public API is written here, once: ``_real``,
+``_integer`` (by ``_is_integer``), ``_gamma``, ``_alpha``, ``_threshold``
+and ``_positive`` for scalars, and ``_floats``, ``_finite`` and ``_vector``
+(non-empty, 1-d) for arrays.  Numpy numbers pass; bools and strings do not.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +70,80 @@ def _read_only(values) -> np.ndarray:
     return out
 
 
+def _real(name: str, value, finite: bool = True) -> float:
+    """``value`` as a float: a ``numbers.Real`` (numpy's too), not a bool, finite unless told not."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not number or (finite and not math.isfinite(value)):
+        raise ValueError(f"{name} must be a {'finite ' * finite}number, got {value!r}")
+    return float(value)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a ``numbers.Integral`` (numpy's too) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int when :func:`_is_integer`; else ``ValueError`` naming ``name``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _gamma(gamma) -> float:
-    """``gamma`` as a float; outside [0, 1) it raises ``ValueError``."""
-    gamma = float(gamma)
+    """``gamma`` as a float in [0, 1); anything else raises ``ValueError``."""
+    gamma = _real("gamma", gamma, finite=False)
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     return gamma
+
+
+def _alpha(alpha) -> float:
+    """``alpha`` as a float in (0, 1); anything else raises ``ValueError``."""
+    alpha = _real("alpha", alpha, finite=False)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
+
+
+def _threshold(t, nonnegative: bool = False) -> float:
+    """The threshold ``t`` as a float: finite, and ``>= 0`` when ``nonnegative``."""
+    t = _real("threshold t", t, finite=False)
+    if not math.isfinite(t) or (nonnegative and t < 0.0):
+        raise ValueError(f"threshold t must be finite{' and >= 0' * nonnegative}, got {t}")
+    return t
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a finite float ``> 0``; anything else raises ``ValueError`` naming ``name``."""
+    value = _real(name, value, finite=False)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def _floats(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, not copied when already one; a non-number dtype raises."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
+def _finite(name: str, values: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``name`` when ``values`` holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must all be finite")
+
+
+def _vector(name: str, values, finite: bool = True) -> np.ndarray:
+    """``values`` as a non-empty 1-d :func:`_floats` array, finite unless told not; a scalar is one entry."""
+    array = np.atleast_1d(_floats(name, values))
+    if array.ndim != 1 or array.size == 0:
+        raise ValueError(f"{name} must be a one-dimensional, non-empty array")
+    if finite:
+        _finite(name, array)
+    return array
 
 
 class InfeasibleError(Exception):
@@ -111,20 +186,15 @@ class StatisticVector:
     shape: HypothesisShape
 
     def __post_init__(self):
-        stats = np.atleast_1d(np.asarray(self.statistics, dtype=np.float64))
-        if stats.ndim != 1 or stats.size < 1:
-            raise ValueError("statistics must be a one-dimensional, non-empty array")
-        margins = np.asarray(self.margins, dtype=np.float64)
+        stats = _vector("statistics", self.statistics)
+        margins = _floats("margins", self.margins)
         if margins.ndim == 0:
             margins = np.full(stats.shape, float(margins))
         if margins.shape != stats.shape:
             raise ValueError(
                 f"margins length {margins.shape} does not match statistics length {stats.shape}"
             )
-        if not np.all(np.isfinite(stats)):
-            raise ValueError("statistics must all be finite")
-        if not np.all(np.isfinite(margins)):
-            raise ValueError("margins must all be finite")
+        _finite("margins", margins)
         if not isinstance(self.shape, HypothesisShape):
             raise TypeError("shape must be a HypothesisShape")
         if self.shape is HypothesisShape.EQUIVALENCE and not np.all(margins > 0):

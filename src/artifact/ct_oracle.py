@@ -31,14 +31,14 @@ Local test families
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .baselines import TransformationGroup, _alpha, _order_index, _threshold
+from .baselines import TransformationGroup, _order_index
 from .core import HypothesisShape, InfeasibleError, StatisticVector
+from .core import _alpha, _floats, _integer, _is_integer, _threshold
 
 __all__ = [
     "LocalTestFamily",
@@ -60,11 +60,6 @@ COUNT_FAMILIES = (
 )
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def indices_to_mask(indices: Iterable[int]) -> int:
     """Bitmask with bit j set for every 0-based index j in ``indices``.
 
@@ -74,7 +69,7 @@ def indices_to_mask(indices: Iterable[int]) -> int:
     """
     mask = 0
     for j in indices:
-        if not _is_int(j):
+        if not _is_integer(j):
             raise ValueError(f"indices must be integers, got {j!r}")
         j = int(j)
         if j < 0:
@@ -87,19 +82,10 @@ def indices_to_mask(indices: Iterable[int]) -> int:
 
 def mask_to_indices(mask: int) -> list[int]:
     """Sorted 0-based indices of the set bits of ``mask``."""
-    if not _is_int(mask):
-        raise ValueError(f"mask must be an integer, got {mask!r}")
+    mask = _integer("mask", mask)
     if mask < 0:
         raise ValueError("mask must be >= 0")
-    mask = int(mask)
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return out
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def _indicator_bits(sv: StatisticVector, t: float, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -108,9 +94,7 @@ def _indicator_bits(sv: StatisticVector, t: float, kind: str) -> tuple[np.ndarra
     These repeat the estimator definitions symbol for symbol; they are kept
     separate so the oracle stays an independent route.
     """
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError(f"threshold t must be finite and >= 0, got {t}")
+    t = _threshold(t, nonnegative=True)
     stats = sv.statistics
     margins = sv.margins
     if kind in ("directional-basic", "directional-randomized"):
@@ -177,7 +161,7 @@ class LocalTestFamily:
         return self.phi_values.size.bit_length() - 1
 
     def phi(self, mask: int) -> bool:
-        if not 1 <= mask < self.phi_values.size:
+        if not 1 <= _integer("mask", mask) < self.phi_values.size:
             raise ValueError(f"mask must encode a nonempty subset of {self.m} hypotheses")
         return bool(self.phi_values[mask])
 
@@ -203,7 +187,7 @@ class LocalTestFamily:
         The same b is used for every subset; b = 1 is the branch on which
         the randomized estimator floors ties.
         """
-        if b not in (0, 1):
+        if _integer("coin b", b) not in (0, 1):
             raise ValueError(f"coin b must be 0 or 1, got {b}")
         return cls._from_counts("directional-randomized", sv, t, b=b)
 
@@ -234,7 +218,7 @@ class LocalTestFamily:
         :class:`InfeasibleError`.  ``t``, ``alpha`` and the column count of
         ``data`` are checked before the B statistic calls.
         """
-        t, data = _threshold(t), np.asarray(data, dtype=np.float64)
+        t, data = _threshold(t), _floats("data", data)
         if data.ndim == 2:
             _check_oracle_m(data.shape[1])
         _alpha(alpha)
@@ -290,7 +274,7 @@ class ClosureResult:
     phi_values: np.ndarray
 
     def contains(self, mask: int) -> bool:
-        if not 0 <= mask < (1 << self.m):
+        if not 0 <= _integer("mask", mask) < (1 << self.m):
             raise ValueError(f"mask out of range for m={self.m}")
         return bool(self.membership[mask])
 
@@ -305,6 +289,7 @@ class ClosureResult:
         of ``mask`` is in the rejected collection (the empty set, never
         rejected, is the implicit maximizer).
         """
+        mask = _integer("mask", mask)
         if not 0 <= mask < (1 << self.m):
             raise ValueError(f"mask out of range for m={self.m}")
         best = 0
@@ -391,11 +376,11 @@ def verify_random_instances(kind: str, n_instances: int, max_m: int, seed: int) 
     """
     if kind not in COUNT_FAMILIES:
         raise ValueError(f"family must be one of {COUNT_FAMILIES}, got {kind!r}")
-    if n_instances < 1:
+    if _integer("n_instances", n_instances) < 1:
         raise ValueError("n_instances must be >= 1")
-    if not 1 <= max_m <= MAX_ORACLE_M:
+    if not 1 <= _integer("max_m", max_m) <= MAX_ORACLE_M:
         raise ValueError(f"max_m must be in [1, {MAX_ORACLE_M}], got {max_m}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed))
     mismatches = 0
     subsets_checked = 0
     for _ in range(n_instances):

@@ -30,11 +30,10 @@ of the randomized estimate is ``core._floored``, which the study reads too.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import FdpEstimate, HypothesisShape, StatisticVector, _counts_at, _floored, _signed_cuts
+from .core import FdpEstimate, HypothesisShape, StatisticVector
+from .core import _counts_at, _floored, _signed_cuts, _threshold
 
 __all__ = [
     "CoinSource",
@@ -69,9 +68,7 @@ def _estimate(estimator: str, shape, sv, t, upper=None, coin=None) -> FdpEstimat
     if sv.shape is not shape:
         what = "estimate_" + estimator.replace("-", "_")
         raise ValueError(f"{what} requires a {shape.value} statistic vector, got {sv.shape.value}")
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"threshold t must be finite and >= 0, got {t}")
+    t = _threshold(t, nonnegative=True)
     rejected, r, r_minus, v, fdp_hat = (row[0] for row in _counts_at(_signed_cuts(sv)[None], t, upper))
     floor = None if coin is None else coin.flip()
     floored = floor is not None and bool(_floored(floor, r, r_minus))

@@ -5,8 +5,9 @@ CSV conventions
 * Raw data files: one header row naming the columns; an optional ``group``
   column (any case) holding exactly two labels; every other column is a
   numeric feature.  Rows are observations.  Values parse as IEEE doubles;
-  blank or non-numeric cells are rejected at ingestion with the offending
-  row/column named, and so is a column name that appears twice.
+  blank or non-numeric cells, blank group labels included, are rejected at
+  ingestion with the offending row/column named, and so is a column name
+  that is blank or appears twice.
 * Statistic files: header ``index,statistic[,margin]`` (any case; later
   columns are ignored), one row per hypothesis.  The indices
   must be 0..m-1, each once, in any order, and every value must be finite;
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HypothesisShape, StatisticVector, _distinct_indices, _read_only
+from .core import HypothesisShape, StatisticVector, _distinct_indices, _floats, _read_only
 
 __all__ = [
     "DataMatrix",
@@ -277,7 +278,7 @@ class DataMatrix:
     group: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _floats("values", self.values)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("values must be a non-empty 2-d array")
         if not np.all(np.isfinite(values)):
@@ -349,6 +350,9 @@ def read_data_csv(path) -> DataMatrix:
         if not header:
             raise ValueError(f"{path}: empty file (a header row is required)")
         header = [h.strip() for h in header]
+        if "" in header:
+            column = header.index("") + 1
+            raise ValueError(f"{path}: header column {column} is blank (every column needs a name)")
         keys = [GROUP_COLUMN if h.lower() == GROUP_COLUMN else h for h in header]
         seen: set[str] = set()
         for key in keys:
@@ -369,6 +373,9 @@ def read_data_csv(path) -> DataMatrix:
         table = np.delete(table, group_idx, axis=1)
     feature_names = tuple(header[k] for k in feature_cols)
     _check_finite(path, table, lines, feature_names)
+    if group_idx is not None and "" in labels:
+        k = np.argmax(group == "")
+        raise ValueError(f"{path}: row {lines[k]}, column '{header[group_idx]}': blank group label")
     if group_idx is not None and len(labels) != 2:
         raise ValueError(
             f"{path}: group column '{header[group_idx]}' must hold exactly two distinct "
@@ -507,7 +514,7 @@ def welch_t_statistics(
         dof = se2**2 / (
             (var_a[kept] / na) ** 2 / (na - 1) + (var_b[kept] / nb) ** 2 / (nb - 1)
         )
-    marg = np.asarray(margins, dtype=np.float64)
+    marg = _floats("margins", margins)
     if marg.ndim > 0 and marg.size == dm.m:
         marg = marg[kept]
     return StatisticVector(t, marg, shape), kept, dof
@@ -549,9 +556,7 @@ def apply_margin_shift(sv: StatisticVector, new_margins=None, flip=None) -> Stat
     if new_margins is not None:
         if sv.shape is not HypothesisShape.DIRECTIONAL:
             raise ValueError("margin shifts are only defined for directional families")
-        target = np.broadcast_to(
-            np.asarray(new_margins, dtype=np.float64), stats.shape
-        ).copy()
+        target = np.broadcast_to(_floats("new_margins", new_margins), stats.shape).copy()
         if np.all(target == 0.0):
             stats = stats - margins
         else:

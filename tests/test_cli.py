@@ -398,6 +398,20 @@ class TestDataFileInput:
         assert result == self._control(capsys, tmp_path, "group,f1,f2")[2]
         assert result["rejected_features"] == ["f1", "f2"]
 
+    def test_blank_group_label_exits_2_naming_the_row(self, capsys, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("x,y,group\n1,2,\n2,3,b\n3,1,\n4,5,b\n")
+        code, out, err = run(capsys, "estimate", str(path), "--delta", "0", "--t", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: row 2, column 'group': blank group label\n"
+
+    def test_blank_header_cell_exits_2_naming_the_column(self, capsys, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("x,\n1,2\n3,4\n")
+        code, out, err = run(capsys, "estimate", str(path), "--delta", "0", "--t", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: header column 2 is blank (every column needs a name)\n"
+
     def test_repeated_column_exits_2(self, capsys, tmp_path):
         code, err, _ = self._control(capsys, tmp_path, "group,a,a")
         assert code == 2

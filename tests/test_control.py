@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -481,6 +482,24 @@ class TestNullDensitySpec:
         with pytest.raises(TypeError, match="callable cdf"):
             NullDensitySpec("user")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"family": "scaled-normal", "sigma": -1.0}, "sigma must be finite and > 0, got -1.0"),
+            ({"family": "scaled-normal", "sigma": 0.0}, "sigma must be finite and > 0, got 0.0"),
+            ({"family": "student-t"}, "nu must be a number, got None"),
+            ({"family": "student-t", "nu": -3.0}, "nu must be finite and > 0, got -3.0"),
+        ],
+    )
+    def test_direct_construction_checks_the_family_parameter(self, kwargs, message):
+        # sigma = -1 gave every directional p-value as 1 - p, a plausible wrong answer.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NullDensitySpec(**kwargs)
+
+    def test_the_checked_parameter_is_stored_as_a_float(self):
+        assert NullDensitySpec.scaled_normal(np.int64(2)) == NullDensitySpec(family="scaled-normal", sigma=2.0)
+        assert type(NullDensitySpec.student_t(np.float32(4.5)).nu) is float
+
 
 # ---------------------------------------------------------------------------
 # P-value transforms
@@ -760,6 +779,16 @@ class TestPvalueVectorAndCsv:
     def test_range_check_rejects_non_finite_and_barely_outside(self, bad):
         with pytest.raises(ValueError, match=r"^p-values must all lie in \[0, 1\]$"):
             PValueVector(values=np.array([0.5, bad, 0.25]), shape=DIR)
+
+    @pytest.mark.parametrize("values", [np.full((2, 2), 0.5), np.empty(0), np.empty((0, 3))], ids=["2-d", "empty", "empty-2-d"])
+    def test_only_a_non_empty_vector_is_a_pvalue_vector(self, values, tmp_path):
+        # A (2, 2) vector made write_pvalues_csv raise TypeError, and an empty
+        # one wrote a header-only file that read_pvalues_csv refuses.
+        with pytest.raises(ValueError, match="^p-values must be a one-dimensional, non-empty array$"):
+            PValueVector(values=values, shape=DIR)
+
+    def test_a_scalar_is_a_one_entry_vector(self):
+        assert PValueVector(values=0.5, shape=DIR).values.tolist() == [0.5]
 
     def test_range_check_accepts_both_ends(self):
         pv = PValueVector(values=np.array([-0.0, 1.0, 0.0]), shape=DIR)

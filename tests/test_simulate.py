@@ -541,6 +541,15 @@ class TestSamCtPath:
         assert table.get(cell_id, "SAM+CT", "mean_ct_bound")[0] == np.mean(bounds)
         assert table.get(cell_id, "SAM+CT", "p_v_le_ct_bound")[0] == np.mean(covered)
 
+    @pytest.mark.parametrize("n", [4, 9, 10, 11])
+    def test_sam_full_and_sam_ct_together_give_their_rows_alone(self, n):
+        # At n <= 10 SAM+CT shares SAM-full's group, float64 cast and buffer,
+        # and SAM-full reads the first half of both: no row may move.
+        base = dict(n=n, m=12, pi0=0.5, rho=(0.0, 0.3), d=0.8, t=0.5, gamma=0.1, replicates=6, seed=n)
+        both = run_study(StudySpec(**base, methods=("SAM-full", "SAM+CT"))).rows
+        alone = [run_study(StudySpec(**base, methods=(name,))).rows for name in ("SAM-full", "SAM+CT")]
+        assert sorted(both, key=repr) == sorted(alone[0] + alone[1], key=repr)
+
 
 class TestPvalueExport:
     def test_export_writes_one_file_per_cell(self, tmp_path):

@@ -144,6 +144,27 @@ class TestReadDataCsv:
         ):
             read_data_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, row",
+        [("1,2,\n2,3,b\n3,1,\n4,5,b\n", 2), ("1,2,a\n2,3,b\n3,1, \n4,5,b\n", 4), ('1,2,a\n2,3,""\n', 3)],
+        ids=["trailing-comma", "spaces", "quoted-empty"],
+    )
+    def test_blank_group_label_is_refused_naming_its_row(self, tmp_path, body, row):
+        # A blank label was read as the label '', so unlabelled rows formed a group.
+        path = tmp_path / "data.csv"
+        path.write_text("x,y,group\n" + body)
+        outcome, _, literal = _routes(read_data_csv, path)
+        assert outcome == literal == ("error", f"{path}: row {row}, column 'group': blank group label")
+
+    @pytest.mark.parametrize("header, column", [("x,", 2), (",x,y", 1), ("x, ,group", 2)])
+    def test_blank_header_cell_is_refused_naming_its_column(self, tmp_path, header, column):
+        # A header "x," gave a feature named ''.
+        path = tmp_path / "data.csv"
+        row = ",".join(["1"] * (header.count(",") + 1))
+        path.write_text(f"{header}\n{row}\n{row}\n")
+        with pytest.raises(ValueError, match=f"data.csv: header column {column} is blank"):
+            read_data_csv(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x,y\n1,2,3\n")

@@ -44,7 +44,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import InfeasibleError, _alpha, _floats, _gamma, _integer, _is_integer, _read_only
+from .core import InfeasibleError, _alpha, _floats, _gamma, _integer, _read_only
 from .core import _row_counts, _threshold, _vector
 
 __all__ = [
@@ -133,7 +133,7 @@ class TransformationGroup:
     seed: int | None = None
 
     def __post_init__(self):
-        _integer("n", self.n)
+        object.__setattr__(self, "n", _integer("n", self.n))
         if (self.signs is None) == (self.perms is None):
             raise ValueError("a transformation group needs exactly one of signs and perms")
         table_name = "signs" if self.signs is not None else "perms"
@@ -153,9 +153,8 @@ class TransformationGroup:
                 raise ValueError(
                     "each perms row must be a permutation of range(n_rows), with the identity in row 0"
                 )
-        rows = self.n if self.signs is not None else 2 * self.n
-        if table.shape[1] != rows:
-            raise ValueError(f"n={self.n} needs a table on {rows} data rows, got {table.shape[1]}")
+        if table.shape[1] != self.n_rows:
+            raise ValueError(f"n={self.n} needs a table on {self.n_rows} data rows, got {table.shape[1]}")
         if self.kind == "sign-flip-full" and table.shape[0] != 2**self.n:
             raise ValueError(f"kind 'sign-flip-full' needs 2^n = {2**self.n} rows, got {table.shape[0]}")
         object.__setattr__(self, table_name, _read_only(table))
@@ -167,15 +166,13 @@ class TransformationGroup:
 
     @property
     def n_rows(self) -> int:
-        """Number of data rows the transformations act on."""
-        arr = self.signs if self.signs is not None else self.perms
-        return int(arr.shape[1])
+        """Number of data rows the transformations act on: n for sign flips, 2n for permutations."""
+        return self.n if self.signs is not None else 2 * self.n
 
     @classmethod
     def sign_flip_full(cls, n: int) -> "TransformationGroup":
         """All 2^n sign-flip patterns (requires n <= 20)."""
-        if _integer("n", n) < 1:
-            raise ValueError("n must be >= 1")
+        n = _integer("n", n, minimum=1)
         _check_sign_flip_n(n)
         codes = np.arange(2**n, dtype=np.int64)
         bits = (codes[:, None] >> np.arange(n)[None, :]) & 1
@@ -185,17 +182,19 @@ class TransformationGroup:
     @classmethod
     def sign_flip_subsample(cls, n: int, n_transforms: int, seed: int) -> "TransformationGroup":
         """Identity + (n_transforms - 1) random sign-flip patterns."""
-        if _integer("n_transforms", n_transforms) < 2:
+        n, n_transforms = _integer("n", n), _integer("n_transforms", n_transforms)
+        if n_transforms < 2:
             raise ValueError("n_transforms must be >= 2 (identity plus at least one draw)")
         rng = np.random.default_rng(seed)
-        signs = rng.choice(np.asarray([-1, 1], dtype=np.int8), size=(n_transforms, _integer("n", n)))
+        signs = rng.choice(np.asarray([-1, 1], dtype=np.int8), size=(n_transforms, n))
         signs[0] = 1
         return cls(kind="sign-flip-subsample", n=n, signs=signs, seed=seed)
 
     @classmethod
     def negation_pair(cls, n: int) -> "TransformationGroup":
         """The two-element subgroup {identity, global negation}."""
-        signs = np.ones((2, _integer("n", n)), dtype=np.int8)
+        n = _integer("n", n)
+        signs = np.ones((2, n), dtype=np.int8)
         signs[1] = -1
         return cls(kind="negation-pair", n=n, signs=signs)
 
@@ -206,8 +205,7 @@ class TransformationGroup:
         ``n`` is the per-group size; rows 0..n-1 are the cases and rows
         n..2n-1 the controls.
         """
-        if _integer("n", n) < 1:
-            raise ValueError("n must be >= 1")
+        n = _integer("n", n, minimum=1)
         identity = np.arange(2 * n)
         swap = np.concatenate([identity[n:], identity[:n]])
         return cls(kind="case-control-swap", n=n, perms=np.stack([identity, swap]))
@@ -215,10 +213,11 @@ class TransformationGroup:
     @classmethod
     def permutation_subsample(cls, n: int, n_transforms: int, seed: int) -> "TransformationGroup":
         """Identity + random row permutations of 2n rows (n per group)."""
-        if _integer("n_transforms", n_transforms) < 2:
+        n, n_transforms = _integer("n", n), _integer("n_transforms", n_transforms)
+        if n_transforms < 2:
             raise ValueError("n_transforms must be >= 2 (identity plus at least one draw)")
         rng = np.random.default_rng(seed)
-        perms = np.empty((n_transforms, 2 * _integer("n", n)), dtype=np.int64)
+        perms = np.empty((n_transforms, 2 * n), dtype=np.int64)
         perms[0] = np.arange(2 * n)
         for b in range(1, n_transforms):
             perms[b] = rng.permutation(2 * n)
@@ -405,7 +404,7 @@ def benjamini_hochberg(pvalues, gamma: float) -> np.ndarray:
 
 def lehmann_romano_critical_values(m: int, gamma: float, alpha: float = 0.5) -> np.ndarray:
     """Step-down critical values alpha*(floor(gamma*i)+1)/(m+floor(gamma*i)+1-i)."""
-    if not _is_integer(m) or m < 1:
+    if _integer("m", m, rule="an integer >= 1") < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     gamma = _gamma(gamma)
     alpha = _alpha(alpha)

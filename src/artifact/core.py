@@ -38,9 +38,9 @@ The closed-testing oracle (``ct_oracle``) re-derives its indicators from the
 defining inequalities on purpose, as an independent check.
 
 Every argument rule of the public API is written here, once: ``_real``,
-``_integer`` (by ``_is_integer``), ``_gamma``, ``_alpha``, ``_threshold``
-and ``_positive`` for scalars, and ``_floats``, ``_finite`` and ``_vector``
-(non-empty, 1-d) for arrays.  Numpy numbers pass; bools and strings do not.
+``_integer``, ``_gamma``, ``_alpha``, ``_threshold`` and ``_positive`` for
+scalars, and ``_floats``, ``_finite`` and ``_vector`` (non-empty, 1-d) for
+arrays.  Numpy numbers pass; bools and strings do not.
 """
 
 from __future__ import annotations
@@ -78,15 +78,15 @@ def _real(name: str, value, finite: bool = True) -> float:
     return float(value)
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a ``numbers.Integral`` (numpy's too) and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _integer(name: str, value, minimum: int | None = None, rule: str = "an integer") -> int:
+    """``value`` as an int: a ``numbers.Integral`` (numpy's too), not a bool, ``>= minimum`` when given.
 
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int when :func:`_is_integer`; else ``ValueError`` naming ``name``."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    A non-integer raises "<name> must be <rule>"; one below ``minimum`` "<name> must be >= <minimum>".
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
     return int(value)
 
 

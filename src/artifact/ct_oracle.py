@@ -38,7 +38,7 @@ import numpy as np
 
 from .baselines import TransformationGroup, _order_index
 from .core import HypothesisShape, InfeasibleError, StatisticVector
-from .core import _alpha, _floats, _integer, _is_integer, _threshold
+from .core import _alpha, _floats, _integer, _threshold
 
 __all__ = [
     "LocalTestFamily",
@@ -69,9 +69,7 @@ def indices_to_mask(indices: Iterable[int]) -> int:
     """
     mask = 0
     for j in indices:
-        if not _is_integer(j):
-            raise ValueError(f"indices must be integers, got {j!r}")
-        j = int(j)
+        j = _integer("indices", j, rule="integers")
         if j < 0:
             raise ValueError(f"indices must be >= 0, got {j}")
         if mask >> j & 1:
@@ -82,10 +80,15 @@ def indices_to_mask(indices: Iterable[int]) -> int:
 
 def mask_to_indices(mask: int) -> list[int]:
     """Sorted 0-based indices of the set bits of ``mask``."""
-    mask = _integer("mask", mask)
-    if mask < 0:
-        raise ValueError("mask must be >= 0")
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+    mask = _integer("mask", mask, minimum=0)
+    out = []
+    j = 0
+    while mask:
+        if mask & 1:
+            out.append(j)
+        mask >>= 1
+        j += 1
+    return out
 
 
 def _indicator_bits(sv: StatisticVector, t: float, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -376,8 +379,7 @@ def verify_random_instances(kind: str, n_instances: int, max_m: int, seed: int) 
     """
     if kind not in COUNT_FAMILIES:
         raise ValueError(f"family must be one of {COUNT_FAMILIES}, got {kind!r}")
-    if _integer("n_instances", n_instances) < 1:
-        raise ValueError("n_instances must be >= 1")
+    _integer("n_instances", n_instances, minimum=1)
     if not 1 <= _integer("max_m", max_m) <= MAX_ORACLE_M:
         raise ValueError(f"max_m must be in [1, {MAX_ORACLE_M}], got {max_m}")
     rng = np.random.default_rng(_integer("seed", seed))

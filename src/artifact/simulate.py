@@ -123,7 +123,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name in ("n", "m", "replicates", "seed"):
-            _integer(name, getattr(self, name))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("pi0", "rho", "d", "delta", "noise_df"):
             _real(name, getattr(self, name))
         if not isinstance(self.independent_blocks, bool):
@@ -237,9 +237,7 @@ def _feature_names(m: int) -> tuple[str, ...]:
 
 def _replicate(spec: ScenarioSpec, replicate_index: int):
     """The truth and the generator of one replicate; the index must be a non-negative integer."""
-    r = _integer("replicate_index", replicate_index)
-    if r < 0:
-        raise ValueError("replicate_index must be >= 0")
+    r = _integer("replicate_index", replicate_index, minimum=0)
     return _scenario_means(spec), _stream(spec, r)
 
 
@@ -539,6 +537,13 @@ def _add_control(metrics: dict[str, list], truth: ScenarioTruth, rejected, gamma
         metrics["power"].extend(((r - v) / truth.n_false).tolist())
 
 
+def _sam_ct_group(spec: ScenarioSpec) -> TransformationGroup:
+    if spec.n <= 10:
+        return TransformationGroup.sign_flip_full(spec.n)
+    seed = int(np.random.SeedSequence([spec.seed, 7301]).generate_state(1)[0])
+    return TransformationGroup.sign_flip_subsample(spec.n, 256, seed)
+
+
 def _flip_counts(half: np.ndarray, t: float) -> np.ndarray:
     """#{T > t} on each row of a full sign-flip product, from the product's first half.
 
@@ -586,12 +591,11 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     then computed on all rows together, with the results of one call per
     replicate.  novel-randomized reads the block's estimate at t and draws
     only each replicate's coin.  The sign-flip products of SAM-full and
-    SAM+CT stay per replicate; at n <= 10 the two share one group, one
-    float64 cast of its signs and one buffer.  SAM-full multiplies only the
-    first half of its sign flips (:func:`_flip_counts`) and keeps, per
-    replicate, its counts and the identity's mask; its bound
-    (``baselines._sam_v_bars``, the routine of ``sam_bound``), FDP and true
-    false count are then taken once per block.  SAM+CT reads its rejected row and true count from the
+    SAM+CT stay per replicate.  SAM-full multiplies only the first half of
+    its sign flips (:func:`_flip_counts`) and keeps, per replicate, its
+    counts and the identity's mask; its bound (``baselines._sam_v_bars``,
+    the routine of ``sam_bound``), FDP and true false count are then taken
+    once per block.  SAM+CT reads its rejected row and true count from the
     block.  Every count of a mask row is ``core._row_counts``.
     """
     methods = study.methods
@@ -607,18 +611,14 @@ def _run_cell(study: StudySpec, cell_id: int, spec: ScenarioSpec, out_dir) -> li
     if "SAM-full" in methods:
         groups["SAM-full"] = TransformationGroup.sign_flip_full(spec.n)
         sam_order = _order_index(0.5, groups["SAM-full"].size)
-    if "SAM+CT" in methods and spec.n <= 10:
-        groups["SAM+CT"] = groups.get("SAM-full") or TransformationGroup.sign_flip_full(spec.n)
-    elif "SAM+CT" in methods:
-        seed = int(np.random.SeedSequence([spec.seed, 7301]).generate_state(1)[0])
-        groups["SAM+CT"] = TransformationGroup.sign_flip_subsample(spec.n, 256, seed)
-    # One float64 cast of each group's signs and one buffer per cell for every
-    # replicate's statistics, which nothing keeps.  SAM-full reads the first
-    # half of both; at n <= 10 SAM+CT shares its group, and so its cast.
-    casts = {g: (g.signs.astype(np.float64), np.empty((g.size, spec.m))) for g in set(groups.values())}
-    flips = {name: casts[g] for name, g in groups.items()}
-    if "SAM-full" in flips:
-        flips["SAM-full"] = tuple(a[: groups["SAM-full"].size // 2] for a in flips["SAM-full"])
+    if "SAM+CT" in methods:
+        groups["SAM+CT"] = _sam_ct_group(spec)
+    # One float64 cast of each group's signs (SAM-full's first half) and one
+    # buffer per cell for every replicate's statistics, which nothing keeps.
+    flips = {}
+    for name, g in groups.items():
+        signs = g.signs[: g.size // 2 if name == "SAM-full" else g.size].astype(np.float64)
+        flips[name] = signs, np.empty((len(signs), spec.m))
 
     def flipped(name: str, data: np.ndarray) -> np.ndarray:
         signs, out = flips[name]

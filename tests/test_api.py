@@ -283,6 +283,31 @@ def test_count_argument_takes_numpy_integers(argument):
     call(np.uint8(good))
 
 
+# A count is read as a Python int: numpy's uint8 arithmetic wraps (2 * 200 == 144, 2**8 == 0).
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (TransformationGroup.sign_flip_full, 8),
+        (TransformationGroup.negation_pair, 200),
+        (TransformationGroup.case_control_swap, 200),
+        (lambda n: TransformationGroup.sign_flip_subsample(n, 3, seed=0), 200),
+        (lambda n: TransformationGroup.permutation_subsample(n, 3, seed=0), 200),
+    ],
+    ids=["sign_flip_full", "negation_pair", "case_control_swap", "sign_flip_subsample", "permutation_subsample"],
+)
+def test_uint8_count_builds_the_group_an_int_builds(build, n):
+    expected, group = build(n), build(np.uint8(n))
+    assert type(group.n) is int and group.n == n
+    np.testing.assert_array_equal(group.signs, expected.signs)
+    np.testing.assert_array_equal(group.perms, expected.perms)
+
+
+def test_uint8_counts_are_stored_as_ints():
+    spec = ScenarioSpec(**{**SCENARIO, "m": np.uint8(200), "seed": np.uint8(255)})
+    assert (type(spec.m), type(spec.seed)) == (int, int)
+    assert TransformationGroup.sign_flip_subsample(3, np.uint8(200), seed=0).size == 200
+
+
 # A vector argument: its call.  The margins may also be a scalar, so for them an
 # empty or 2-d array is refused as a length mismatch.
 VECTORS = {

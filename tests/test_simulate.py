@@ -543,8 +543,7 @@ class TestSamCtPath:
 
     @pytest.mark.parametrize("n", [4, 9, 10, 11])
     def test_sam_full_and_sam_ct_together_give_their_rows_alone(self, n):
-        # At n <= 10 SAM+CT shares SAM-full's group, float64 cast and buffer,
-        # and SAM-full reads the first half of both: no row may move.
+        # Running the two methods in one study must not move a row of either.
         base = dict(n=n, m=12, pi0=0.5, rho=(0.0, 0.3), d=0.8, t=0.5, gamma=0.1, replicates=6, seed=n)
         both = run_study(StudySpec(**base, methods=("SAM-full", "SAM+CT"))).rows
         alone = [run_study(StudySpec(**base, methods=(name,))).rows for name in ("SAM-full", "SAM+CT")]

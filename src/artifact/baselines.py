@@ -21,7 +21,7 @@ Three families live here:
   ``alpha * (floor(gamma*i) + 1) / (m + floor(gamma*i) + 1 - i)``.  Both
   are one row-wise step, ``_bh_lr``: it sorts each row of p-values once,
   finds its cut k against the critical values, and rejects
-  {i : p_i <= p_(k)}.  The public functions run it on one row, the Monte
+  {i : p_i <= p_(k)}.  The public functions run it on a 1-d row, the Monte
   Carlo study on blocks of replicates.
 * Exact single-hypothesis tests by full enumeration of a transformation
   group: one-sample sign flips (all 2^n patterns) and two-group label
@@ -96,14 +96,9 @@ def _check_sign_flip_n(n: int) -> None:
 
 def _order_index(alpha: float, n_transforms: int) -> int:
     """1-based index of the ceil((1-alpha)*B)-th smallest of B values."""
-    return _cached_order_index(_alpha(alpha), n_transforms)
-
-
-@lru_cache(maxsize=256)
-def _cached_order_index(alpha: float, n_transforms: int) -> int:
     # ceil((1 - a) * B) == B - floor(a * B) for integer B, evaluated with the
     # guarded floor so rationals like 7/70 land on the intended index.
-    k = n_transforms - int(_guarded_floor(alpha * n_transforms))
+    k = n_transforms - int(_guarded_floor(_alpha(alpha) * n_transforms))
     return min(max(k, 1), n_transforms)
 
 
@@ -320,7 +315,7 @@ def sam_bound(
     counts = _row_counts(above)
     k = _order_index(alpha, group.size)
     observed = int(counts[0])  # identity is always row 0
-    v_bar = int(_sam_v_bars(counts[None], k)[0])
+    v_bar = int(_sam_v_bars(counts, k))
     return SamEstimate(
         t=t,
         rejected=_read_only(np.flatnonzero(above[0])),
@@ -336,8 +331,8 @@ def sam_bound(
 
 
 def _sam_v_bars(counts: np.ndarray, k: int) -> np.ndarray:
-    """The bound of each row of an (R, B) count block, identity first: min(k-th smallest, observed)."""
-    return np.minimum(np.partition(counts, k - 1, axis=1)[:, k - 1], counts[:, 0])
+    """The bound of each row of counts (the last axis), identity first: min(k-th smallest, observed)."""
+    return np.minimum(np.partition(counts, k - 1, axis=-1)[..., k - 1], counts[..., 0])
 
 
 def sam_two_transform(
@@ -367,13 +362,13 @@ def sam_two_transform(
 
 
 def _bh_lr(p: np.ndarray, gamma: float, alpha: float | None = None) -> np.ndarray:
-    """BH (``alpha`` None) or the LR step-down at ``alpha``, on each row of an (R, m) block.
+    """BH (``alpha`` None) or the LR step-down at ``alpha``, on each row of p-values (the last axis).
 
     Checks that every p-value lies in [0, 1], in one pass, then sorts each
     row once and finds its cut k against the procedure's critical values:
     BH's k is the largest i with p_(i) <= gamma*i/m, LR's the number passing
-    before the first failure.  Returns the (R, m) rejection mask
-    ``p <= p_(k)``, all False where k = 0.
+    before the first failure.  Returns the rejection mask ``p <= p_(k)``,
+    all False in a row where k = 0.  One family is a 1-d row.
     """
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("pvalues must all lie in [0, 1]")
@@ -381,12 +376,12 @@ def _bh_lr(p: np.ndarray, gamma: float, alpha: float | None = None) -> np.ndarra
     s = np.sort(p, axis=-1)
     if alpha is None:
         passing = s <= _gamma(gamma) * np.arange(1, m + 1) / m
-        k = np.where(passing.any(axis=-1), m - np.argmax(passing[:, ::-1], axis=-1), 0)
+        k = np.where(passing.any(axis=-1), m - np.argmax(passing[..., ::-1], axis=-1), 0)
     else:
         failing = s > lehmann_romano_critical_values(m, gamma, alpha)
         k = np.where(failing.any(axis=-1), np.argmax(failing, axis=-1), m)
-    cut = np.where(k > 0, s[np.arange(s.shape[0]), k - 1], -np.inf)
-    return p <= cut[:, None]
+    cut = np.where(k > 0, s[(*np.indices(k.shape, sparse=True), k - 1)], -np.inf)
+    return p <= cut[..., None]
 
 
 def benjamini_hochberg(pvalues, gamma: float) -> np.ndarray:
@@ -399,7 +394,7 @@ def benjamini_hochberg(pvalues, gamma: float) -> np.ndarray:
     with p_(k) passes its own critical value as well and a tie cannot
     straddle the cut: the set equals the first k of a stable sort.
     """
-    return np.flatnonzero(_bh_lr(_vector("pvalues", pvalues, finite=False)[None], gamma)[0])
+    return np.flatnonzero(_bh_lr(_vector("pvalues", pvalues, finite=False), gamma))
 
 
 def lehmann_romano_critical_values(m: int, gamma: float, alpha: float = 0.5) -> np.ndarray:
@@ -426,8 +421,7 @@ def lehmann_romano_stepdown(pvalues, gamma: float, alpha: float = 0.5) -> np.nda
     a tie cannot straddle the first failure.  For m = 1 and gamma = 0 this
     reduces to rejecting iff p <= alpha.
     """
-    p = _vector("pvalues", pvalues, finite=False)
-    return np.flatnonzero(_bh_lr(p[None], gamma, _alpha(alpha))[0])
+    return np.flatnonzero(_bh_lr(_vector("pvalues", pvalues, finite=False), gamma, _alpha(alpha)))
 
 
 @dataclass(frozen=True)

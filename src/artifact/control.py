@@ -12,7 +12,7 @@ gamma, and by construction FDP~(s+) <= gamma while P(FDP(s+) <= gamma) >= 1/2
 under joint null symmetry with the null block independent of the rest.  The
 scan over M is ``core._control_scan``, which ``simulate.control_coverage``
 runs on blocks of replicates; the rejection set and the estimate at s+ are
-``core._counts_at`` on a one-row block, the count the estimators read.
+``core._counts_at`` on a 1-d row, the count the estimators read.
 
 The p-value transforms turn each statistic/margin pair into a marginal
 p-value that is uniform at the boundary of its null and stochastically
@@ -71,11 +71,11 @@ def control_mfdp(sv: StatisticVector, gamma: float) -> ControlResult:
     Its grid ends at a threshold where R is zero, so ``s_plus`` exists.
     """
     gamma = _gamma(gamma)
-    k = _signed_cuts(sv)[None]
+    k = _signed_cuts(sv)
     exceeds, s, s_plus = _control_scan(k, gamma)
-    s_plus = float(s_plus[0])
-    rejected, r, _, v, fdp_hat = (row[0] for row in _counts_at(k, s_plus))
-    s = float(s[0]) if exceeds[0] else None
+    s_plus = float(s_plus)
+    rejected, r, _, v, fdp_hat = _counts_at(k, s_plus)
+    s = float(s) if exceeds else None
     return ControlResult(gamma, s, s_plus, np.flatnonzero(rejected), int(r), int(v), float(fdp_hat))
 
 

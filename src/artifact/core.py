@@ -29,8 +29,8 @@ of Monte Carlo replicates (``control_coverage`` and ``run_study``).  The
 count at one threshold t is written once, in ``_counts_at``, row by row: the
 rejection mask, R(t), R-(t), V~ = min(R-, R) and V~ / max(R, 1).  The four
 estimators, the tail of ``control_mfdp`` (the estimate at s+) and
-``RejectionProfile.rejected_at`` read row 0 of a one-row block; ``run_study``
-reads a block of replicates.  The randomized estimator's tie rule is
+``RejectionProfile.rejected_at`` pass one family as a 1-d row; ``run_study``
+passes a block of replicates.  The randomized estimator's tie rule is
 ``_floored``, beside it, which the estimator and ``run_study`` both read.
 Every count of a mask row is ``_row_counts``: R and R- here, the study's
 counts and the SAM bound's count per transformation.
@@ -266,7 +266,7 @@ class RejectionProfile:
     def rejected_at(self, t: float) -> np.ndarray:
         """Indices (0-based) of the hypotheses rejected at threshold t."""
         _not_nan(t)
-        return np.flatnonzero(_counts_at(self._k[None], t)[0][0])
+        return np.flatnonzero(_counts_at(self._k, _threshold(t, nonnegative=True))[0])
 
 
 def _not_nan(t) -> None:
@@ -308,12 +308,12 @@ def _grid(k: np.ndarray):
 
 
 def _counts_at(k: np.ndarray, t: float, upper: np.ndarray | None = None):
-    """The estimate of each row of an (R, m) block of cuts at one threshold t.
+    """The estimate of each row of cuts (along the last axis) at one threshold t.
 
-    Returns the (R, m) rejection mask ``k > t`` and, per row, R, the
-    uncapped mirror count R- = #{k < -t} (and ``t <= upper``, when given:
-    the windowed estimator's upper edge), V~ = min(R-, R) and
-    FDP~ = V~ / max(R, 1).  One family is the block ``k[None]``.
+    Returns the rejection mask ``k > t`` and, per row, R, the uncapped
+    mirror count R- = #{k < -t} (and ``t <= upper``, when given: the
+    windowed estimator's upper edge), V~ = min(R-, R) and
+    FDP~ = V~ / max(R, 1).  One family is a 1-d row.
     """
     rejected = k > t
     below = k < -t
@@ -325,9 +325,9 @@ def _counts_at(k: np.ndarray, t: float, upper: np.ndarray | None = None):
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
-    """The True entries of each row of an (R, m) boolean mask: int32, or intp from m = 2^31 on."""
+    """The True entries along the last axis of a boolean mask: int32, or intp from m = 2^31 on."""
     dtype = np.int32 if mask.shape[-1] < 2**31 else np.intp
-    return mask.view(np.uint8).sum(axis=1, dtype=dtype)
+    return mask.view(np.uint8).sum(axis=-1, dtype=dtype)
 
 
 def _distinct_indices(name: str, values, m: int) -> np.ndarray:
@@ -354,7 +354,7 @@ def build_profile(sv: StatisticVector) -> RejectionProfile:
 
 
 def _control_scan(k: np.ndarray, gamma: float):
-    """``control_mfdp``'s scan of each row of an (R, m) block of cuts.
+    """``control_mfdp``'s scan of each row of cuts, along the last axis; one family is a 1-d row.
 
     Returns, per row, whether the estimate min(R, R-) / max(R, 1) exceeds
     ``gamma`` at any grid point; s, the last grid point where it does; and
@@ -368,9 +368,9 @@ def _control_scan(k: np.ndarray, gamma: float):
     # The last position (R = 0) never exceeds, so ``back``, the distance of
     # the last exceeding one from the row's end, is 0 only when none does.
     # s+ starts the next run, at index -back; for back = 0 that wraps to 0.
-    back = np.argmax(exceeding[:, ::-1], axis=1)
-    rows = np.arange(k.shape[0])
-    return back > 0, t[rows, -1 - back], t[rows, -back]
+    back = np.argmax(exceeding[..., ::-1], axis=-1)
+    rows = np.indices(back.shape, sparse=True)  # open grids over the leading axes
+    return back > 0, t[(*rows, -1 - back)], t[(*rows, -back)]
 
 
 @dataclass(frozen=True, eq=False)

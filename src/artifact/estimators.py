@@ -23,7 +23,7 @@ guarantee additionally requires the null statistics to be mutually
 independent with unimodal symmetric densities.
 
 Each estimator checks its shape and threshold and reads the count at t from
-``core._counts_at`` on a one-row block, the count that ``control_mfdp`` reads
+``core._counts_at`` on a 1-d row, the count that ``control_mfdp`` reads
 at s+ and the Monte Carlo study reads on blocks of replicates; the tie rule
 of the randomized estimate is ``core._floored``, which the study reads too.
 """
@@ -69,7 +69,7 @@ def _estimate(estimator: str, shape, sv, t, upper=None, coin=None) -> FdpEstimat
         what = "estimate_" + estimator.replace("-", "_")
         raise ValueError(f"{what} requires a {shape.value} statistic vector, got {sv.shape.value}")
     t = _threshold(t, nonnegative=True)
-    rejected, r, r_minus, v, fdp_hat = (row[0] for row in _counts_at(_signed_cuts(sv)[None], t, upper))
+    rejected, r, r_minus, v, fdp_hat = _counts_at(_signed_cuts(sv), t, upper)
     floor = None if coin is None else coin.flip()
     floored = floor is not None and bool(_floored(floor, r, r_minus))
     return FdpEstimate(

@@ -29,14 +29,15 @@ noise first, then the row effects, which are skipped entirely when rho = 0.
 ``run_study`` and ``control_coverage`` draw the replicates one at a time,
 each on its own stream, in one loop (``_blocks``), and score them in blocks
 of rows: one row of statistics per replicate, about ``_BLOCK_CELLS`` numbers
-per block, with the results of one call per replicate.  The loop runs the
-private draws behind ``generate`` and ``generate_statistics``, which return
-bare arrays, and writes each replicate's statistics straight into its row:
-the same bits as the public functions, without building a
-``StatisticVector`` or ``DataMatrix`` per replicate; each block is checked
-finite once.  The estimate at t, randomized too (only the coin is per
-replicate), is the block's ``_counts_at``; SAM-full's bound is taken once
-per block from each replicate's sign-flip counts.
+per block, with the results of one call per replicate.  The loop runs
+``_draw``, the private draw behind ``generate_statistics``, which picks the
+data or the statistics route and returns bare arrays, and writes each
+replicate's 1-d row straight into its block: the same bits as the public
+functions, without building a ``StatisticVector`` or ``DataMatrix`` per
+replicate; each block is checked finite once.  The estimate at t,
+randomized too (only the coin is per replicate), is the block's
+``_counts_at``; SAM-full's bound is taken once per block from each
+replicate's sign-flip counts.
 The data and the statistics routes draw the row effects through one
 helper: one effect per row (n rows of data, or the single row of
 statistics), the null block first under ``independent_blocks``.
@@ -298,18 +299,25 @@ def generate_statistics(spec: ScenarioSpec, replicate_index: int):
 
     With normal noise the statistics are drawn directly on their own scale
     (``T = mu + sqrt(1-rho) Z + sqrt(rho) W``, identical in law to the data
-    route because means of normals are normal); other noise families go
-    through :func:`generate`, since their column means are not in-family.
-    The two routes consume different random streams, so they agree in law,
-    not bit for bit.  Both draws are private functions that return bare
-    arrays; the study engine writes them straight into its block rows
-    (:func:`_blocks`), with the same bits as this function returns.
+    route because means of normals are normal); other noise families take
+    the study statistic of :func:`generate`'s data, since their column means
+    are not in-family.  The two routes consume different random streams, so
+    they agree in law, not bit for bit.  The route is chosen in
+    :func:`_draw`, which the study engine (:func:`_blocks`) reads too.
     """
-    if spec.noise != "normal":
-        dm, truth = generate(spec, replicate_index)
-        return study_statistics(dm.values, spec), truth
     truth, rng = _replicate(spec, replicate_index)
-    return StatisticVector(_draw_statistics(spec, truth, rng), spec.delta, spec.shape), truth
+    return StatisticVector(_draw(spec, truth, rng)[0], spec.delta, spec.shape), truth
+
+
+def _draw(spec: ScenarioSpec, truth: ScenarioTruth, rng: np.random.Generator, keep_data: bool = False):
+    """One replicate's 1-d row of statistics, and its data matrix when the row was drawn from data.
+
+    It is drawn from data for a non-normal noise family or with ``keep_data``, else on the statistic scale.
+    """
+    if keep_data or spec.noise != "normal":
+        values = _draw_data(spec, truth, rng)
+        return _statistic_row(values, spec), values
+    return _draw_statistics(spec, truth, rng), None
 
 
 def _draw_statistics(spec: ScenarioSpec, truth: ScenarioTruth, rng: np.random.Generator) -> np.ndarray:
@@ -557,12 +565,11 @@ def _blocks(spec: ScenarioSpec, needs_data: bool = False):
 
     Yields each block's replicate range, its (R, m) statistics, the cell's
     read-only margins and, with ``needs_data``, the data matrices (n * m
-    numbers each).  Each row holds the bits that :func:`generate_statistics`
-    returns, or with ``needs_data`` those of :func:`study_statistics` on
-    :func:`generate`'s data: the private draws write it straight into the
-    block, and every block is checked finite once.
+    numbers each).  Each row is :func:`_draw`'s: the bits that
+    :func:`generate_statistics` returns, or with ``needs_data`` those of
+    :func:`study_statistics` on :func:`generate`'s data.  Every block is
+    checked finite once.
     """
-    from_data = needs_data or spec.noise != "normal"
     truth = _scenario_means(spec)
     margins = _read_only(np.full(spec.m, float(spec.delta)))
     rows = max(1, _BLOCK_CELLS // (spec.m * (spec.n if needs_data else 1)))
@@ -570,14 +577,9 @@ def _blocks(spec: ScenarioSpec, needs_data: bool = False):
         reps = range(start, min(start + rows, spec.replicates))
         block, data = np.empty((len(reps), spec.m)), []
         for row, rep in zip(block, reps):
-            rng = _stream(spec, rep)
-            if from_data:
-                values = _draw_data(spec, truth, rng)
-                row[:] = _statistic_row(values, spec)
-                if needs_data:
-                    data.append(values)
-            else:
-                row[:] = _draw_statistics(spec, truth, rng)
+            row[:], values = _draw(spec, truth, _stream(spec, rep), needs_data)
+            if needs_data:
+                data.append(values)
         _finite("statistics", block)
         yield reps, block, margins, data
 

@@ -181,8 +181,9 @@ def _body_cells(path, reader, header: list[str], parsers: list) -> tuple[np.ndar
     """The line numbers and parsed cells of the non-blank rows left in ``reader``.
 
     Cell k parses by ``parsers[k]``, stripped.  A row not as wide as
-    ``header``, a cell that ``int`` or ``float`` cannot parse, and a body of
-    no rows raise ValueError naming the row and column.
+    ``header``, a cell that ``int`` or ``float`` cannot parse or that numpy's
+    C parser refuses (``int`` and ``float`` read ``1_5`` and non-ASCII digits),
+    and a body of no rows raise ValueError naming the row and column.
     """
     lines: list[int] = []
     rows: list[list] = []
@@ -195,6 +196,8 @@ def _body_cells(path, reader, header: list[str], parsers: list) -> tuple[np.ndar
         for name, parse, cell in zip(header, parsers, row):
             cell = cell.strip()
             try:
+                if parse in _PARSED_AS and (not cell.isascii() or "_" in cell):
+                    raise ValueError
                 cells.append(parse(cell))
             except ValueError:
                 raise ValueError(
@@ -466,8 +469,6 @@ def two_group_statistics(
             f"two_group_statistics needs equal group sizes, got {rows_a.size} and {rows_b.size}"
         )
     n = rows_a.size
-    if n < 1:
-        raise ValueError("each group needs at least one observation")
     diff = dm.values[rows_a].mean(axis=0) - dm.values[rows_b].mean(axis=0)
     return StatisticVector(math.sqrt(n) * diff, margins, shape)
 

@@ -348,3 +348,10 @@ def test_argument_rules_are_spelled_only_in_core():
     }
     assert spelled.pop("core.py")
     assert {name: found for name, found in spelled.items() if found} == {}
+
+
+def test_no_row_kernel_call_wraps_a_family_as_a_block():
+    # The row kernels take one family as a 1-d row, so nothing adds a leading axis with [None].
+    package = Path(artifact.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert [name for name, text in sources.items() if "[None]" in text] == []

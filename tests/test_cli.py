@@ -312,6 +312,14 @@ class TestStatisticsFileInput:
         assert "s_plus    3.5" in out
         assert "rejected  0 1" in out
 
+    def test_underscore_digits_exit_2_naming_row_and_column(self, capsys, tmp_path):
+        # Python's float reads 1_5 as 15; numpy's C parser, and now the cell loop, refuse it.
+        path = tmp_path / "s.csv"
+        path.write_text("index,statistic,margin\n0,1_5,0\n1,0.5,0\n")
+        code, out, err = run(capsys, "estimate", str(path), "--t", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: row 2, column 'statistic': could not parse '1_5' as a number\n"
+
     @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
     def test_decimal_commas_exit_2_naming_the_row(self, capsys, tmp_path, quote):
         path = tmp_path / "s.csv"

@@ -29,7 +29,8 @@ from artifact import (
     estimate_equivalence,
     estimate_equivalence_windowed,
 )
-from artifact.core import _row_counts
+from artifact.baselines import _bh_lr, _sam_v_bars
+from artifact.core import _control_scan, _counts_at, _row_counts
 
 DIR = HypothesisShape.DIRECTIONAL
 EQU = HypothesisShape.EQUIVALENCE
@@ -142,6 +143,15 @@ class TestDirectionalProfile:
         for method in (profile.r, profile.r_minus, profile.rejected_at):
             with pytest.raises(ValueError, match="NaN"):
                 method(t)
+
+    @pytest.mark.parametrize("t", [-1.0, True, np.inf], ids=repr)
+    def test_rejected_at_takes_only_a_finite_nonnegative_number(self, t):
+        # r(-1.0) reads R at 0, two rejections; rejected_at(-1.0) once returned
+        # all three indices, and rejected_at(True) read t = 1.
+        profile = build_profile(_sv([2.0, -0.5, 0.5], 0.0))
+        assert profile.r(-1.0) == 2
+        with pytest.raises(ValueError, match="threshold t must be"):
+            profile.rejected_at(t)
 
     def test_nonzero_margins_shift_cuts(self):
         profile = build_profile(_sv([3.0, -2.5, 0.5, 4.0], [1.0, 0.0, 0.25, 2.0]))
@@ -364,6 +374,29 @@ def test_row_counts_match_count_nonzero(shape, fill):
     np.testing.assert_array_equal(counts, np.count_nonzero(mask, axis=1))
     # A column slice is a strided view; it counts the same.
     np.testing.assert_array_equal(_row_counts(mask[:, ::2]), np.count_nonzero(mask[:, ::2], axis=1))
+
+
+# Each row kernel works along the last axis, for any leading shape; its input
+# here is x in {-2.0, -1.9, ..., 2.0}, with ties and zeros.
+ROW_KERNELS = {
+    "_counts_at": lambda x: _counts_at(x, 0.5),
+    "_counts_at-upper": lambda x: _counts_at(x, 0.5, upper=1.5 - np.abs(x)),
+    "_control_scan": lambda x: _control_scan(x, 0.2),
+    "_bh_lr-BH": lambda x: (_bh_lr(np.abs(x) / 2, 0.2),),
+    "_bh_lr-LR": lambda x: (_bh_lr(np.abs(x) / 2, 0.2, 0.5),),
+    "_sam_v_bars": lambda x: (_sam_v_bars((10 * x + 20).astype(np.int32), 5),),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kernel", sorted(ROW_KERNELS))
+def test_row_kernel_reads_a_1d_row_as_row_0_of_a_block(kernel, seed):
+    block = np.random.default_rng(seed).integers(-20, 21, size=(2, 3, 12)) / 10
+    alone = ROW_KERNELS[kernel](block[0, 0])
+    for held, at in ((block[0], 0), (block, (0, 0))):  # a (3, m) and a (2, 3, m) block
+        for got, want in zip(ROW_KERNELS[kernel](held), alone, strict=True):
+            got, want = np.asarray(got[at]), np.asarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_result_arrays_are_read_only():

@@ -135,6 +135,14 @@ class TestReadDataCsv:
         with pytest.raises(ValueError, match="row 3.*'y'.*oops"):
             read_data_csv(path)
 
+    @pytest.mark.parametrize("cell", ["1_000", "１５", "-2.5e-1_0"], ids=["underscore", "full-width", "exponent"])
+    def test_cell_the_c_parser_refuses_is_refused_on_both_routes(self, tmp_path, cell):
+        # float reads 1_000 as 1000 and １５ as 15; numpy's C parser refuses both.
+        path = tmp_path / "data.csv"
+        path.write_text(f"x,y,group\n1,2,a\n3,{cell},b\n", encoding="utf-8")
+        outcome, _, literal = _routes(read_data_csv, path)
+        assert outcome == literal == ("error", f"{path}: row 3, column 'y': could not parse {cell!r} as a number")
+
     @pytest.mark.parametrize("labels", [("a", "a", "a"), ("a", "b", "c")], ids=["one", "three"])
     def test_group_column_needs_two_labels_names_file_and_column(self, tmp_path, labels):
         path = tmp_path / "data.csv"
@@ -264,8 +272,12 @@ class TestStatisticsCsv:
         [
             ("zero,1.0\n", "row 2, column 'index': could not parse 'zero' as an integer"),
             ("0,1.5\n1,one\n", "row 3, column 'statistic': could not parse 'one' as a number"),
+            # int and float read these (as 15, 1000 and 1), numpy's C parser does not.
+            ("0,１５\n", "row 2, column 'statistic': could not parse '１５' as a number"),
+            ("0,1_000\n", "row 2, column 'statistic': could not parse '1_000' as a number"),
+            ("0,2.5\n१,1.0\n", "row 3, column 'index': could not parse '१' as an integer"),
         ],
-        ids=["index", "statistic"],
+        ids=["index", "statistic", "full-width-digits", "underscore", "devanagari-index"],
     )
     def test_malformed_row(self, tmp_path, rows, problem):
         path = tmp_path / "stats.csv"
